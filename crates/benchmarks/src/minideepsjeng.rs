@@ -36,6 +36,21 @@ pub mod piece {
     pub const KING: i8 = 6;
 }
 
+const KNIGHT_D: [i16; 8] = [14, 18, 31, 33, -14, -18, -31, -33];
+const KING_D: [i16; 8] = [1, -1, 16, -16, 15, 17, -15, -17];
+const BISHOP_D: [i16; 4] = [15, 17, -15, -17];
+const ROOK_D: [i16; 4] = [1, -1, 16, -16];
+
+/// The top bit of every byte.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The top bit of every nonzero byte of `word`: the low seven bits carry
+/// into it unless they are all clear.
+fn occupied(word: u64) -> u64 {
+    const LOW_BITS: u64 = !HIGH_BITS;
+    (((word & LOW_BITS) + LOW_BITS) | word) & HIGH_BITS
+}
+
 /// A chess position on a 0x88 board.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Board {
@@ -81,58 +96,80 @@ impl Board {
         sq & 0x88 == 0 && sq >= 0
     }
 
+    /// The eight squares of `rank` as one little-endian word, file 0 in
+    /// the low byte.
+    fn rank_word(&self, rank: u8) -> u64 {
+        let start = rank as usize * 16;
+        let files: [i8; 8] = self.squares[start..start + 8].try_into().expect("8 files");
+        u64::from_le_bytes(files.map(|p| p as u8))
+    }
+
+    /// The 0x88 squares of `rank` whose byte has its top bit set in
+    /// `mask`, in file order.
+    fn marked_squares(rank: u8, mut mask: u64) -> impl Iterator<Item = u8> {
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let file = mask.trailing_zeros() as u8 / 8;
+                mask &= mask - 1;
+                rank * 16 + file
+            })
+        })
+    }
+
     /// Generates pseudo-legal moves (may leave own king in check).
     pub fn pseudo_moves(&self, out: &mut Vec<Move>) {
-        use piece::*;
         out.clear();
-        const KNIGHT_D: [i16; 8] = [14, 18, 31, 33, -14, -18, -31, -33];
-        const KING_D: [i16; 8] = [1, -1, 16, -16, 15, 17, -15, -17];
-        const BISHOP_D: [i16; 4] = [15, 17, -15, -17];
-        const ROOK_D: [i16; 4] = [1, -1, 16, -16];
-        for from in 0..128u8 {
-            if from & 0x88 != 0 {
-                continue;
+        for rank in 0..8u8 {
+            let word = self.rank_word(rank);
+            let own = if self.side == 1 {
+                occupied(word) & !word
+            } else {
+                word & HIGH_BITS
+            };
+            for from in Board::marked_squares(rank, own) {
+                self.piece_moves(from, out);
             }
-            let p = self.squares[from as usize];
-            if p == 0 || p.signum() != self.side {
-                continue;
-            }
-            match p.abs() {
-                PAWN => {
-                    let dir: i16 = if self.side == 1 { 16 } else { -16 };
-                    let fwd = from as i16 + dir;
-                    if Board::on_board(fwd) && self.squares[fwd as usize] == 0 {
-                        out.push(self.mk(from, fwd as u8));
-                        // Double push from the home rank.
-                        let home = if self.side == 1 { 1 } else { 6 };
-                        let fwd2 = fwd + dir;
-                        if (from >> 4) == home
-                            && Board::on_board(fwd2)
-                            && self.squares[fwd2 as usize] == 0
-                        {
-                            out.push(self.mk(from, fwd2 as u8));
-                        }
+        }
+    }
+
+    /// Pseudo-legal moves of the side-to-move piece on `from`.
+    fn piece_moves(&self, from: u8, out: &mut Vec<Move>) {
+        use piece::*;
+        match self.squares[from as usize].abs() {
+            PAWN => {
+                let dir: i16 = if self.side == 1 { 16 } else { -16 };
+                let fwd = from as i16 + dir;
+                if Board::on_board(fwd) && self.squares[fwd as usize] == 0 {
+                    out.push(self.mk(from, fwd as u8));
+                    // Double push from the home rank.
+                    let home = if self.side == 1 { 1 } else { 6 };
+                    let fwd2 = fwd + dir;
+                    if (from >> 4) == home
+                        && Board::on_board(fwd2)
+                        && self.squares[fwd2 as usize] == 0
+                    {
+                        out.push(self.mk(from, fwd2 as u8));
                     }
-                    for dd in [dir - 1, dir + 1] {
-                        let t = from as i16 + dd;
-                        if Board::on_board(t) {
-                            let q = self.squares[t as usize];
-                            if q != 0 && q.signum() != self.side {
-                                out.push(self.mk(from, t as u8));
-                            }
+                }
+                for dd in [dir - 1, dir + 1] {
+                    let t = from as i16 + dd;
+                    if Board::on_board(t) {
+                        let q = self.squares[t as usize];
+                        if q != 0 && q.signum() != self.side {
+                            out.push(self.mk(from, t as u8));
                         }
                     }
                 }
-                KNIGHT => self.step_moves(from, &KNIGHT_D, out),
-                KING => self.step_moves(from, &KING_D, out),
-                BISHOP => self.slide_moves(from, &BISHOP_D, out),
-                ROOK => self.slide_moves(from, &ROOK_D, out),
-                QUEEN => {
-                    self.slide_moves(from, &BISHOP_D, out);
-                    self.slide_moves(from, &ROOK_D, out);
-                }
-                _ => unreachable!("invalid piece code"),
             }
+            KNIGHT => self.step_moves(from, &KNIGHT_D, out),
+            KING => self.step_moves(from, &KING_D, out),
+            BISHOP => self.slide_moves(from, &BISHOP_D, out),
+            ROOK => self.slide_moves(from, &ROOK_D, out),
+            QUEEN => {
+                self.slide_moves(from, &BISHOP_D, out);
+                self.slide_moves(from, &ROOK_D, out);
+            }
+            _ => unreachable!("invalid piece code"),
         }
     }
 
@@ -222,18 +259,15 @@ impl Board {
         }
         let ks = cached as i16;
         // Knights.
-        for d in [14i16, 18, 31, 33, -14, -18, -31, -33] {
+        for d in KNIGHT_D {
             let t = ks + d;
             if Board::on_board(t) && self.squares[t as usize] == -side * KNIGHT {
                 return true;
             }
         }
         // Sliders and king adjacency.
-        for (deltas, pieces) in [
-            ([15i16, 17, -15, -17].as_slice(), [BISHOP, QUEEN].as_slice()),
-            ([1i16, -1, 16, -16].as_slice(), [ROOK, QUEEN].as_slice()),
-        ] {
-            for &d in deltas {
+        for (deltas, slider) in [(BISHOP_D, BISHOP), (ROOK_D, ROOK)] {
+            for d in deltas {
                 let mut t = ks + d;
                 let mut first = true;
                 while Board::on_board(t) {
@@ -241,7 +275,7 @@ impl Board {
                     if q != 0 {
                         if q.signum() == -side {
                             let a = q.abs();
-                            if pieces.contains(&a) || (first && a == KING) {
+                            if a == slider || a == QUEEN || (first && a == KING) {
                                 return true;
                             }
                         }
@@ -263,8 +297,75 @@ impl Board {
         false
     }
 
-    /// Generates fully legal moves.
+    /// Own pieces that shield `side`'s king from an enemy slider: the
+    /// first piece on a king ray when the next piece along it is an enemy
+    /// bishop/queen (diagonal) or rook/queen (orthogonal). One bit per
+    /// 0x88 square.
+    fn pinned(&self, side: i8) -> u128 {
+        use piece::*;
+        let ks = self.kings[Board::king_index(side)] as i16;
+        let mut pinned = 0u128;
+        for (deltas, slider) in [(BISHOP_D, BISHOP), (ROOK_D, ROOK)] {
+            for d in deltas {
+                let mut shield = None;
+                let mut t = ks + d;
+                while Board::on_board(t) {
+                    let q = self.squares[t as usize];
+                    if q != 0 {
+                        if q.signum() != side {
+                            if let Some(s) = shield {
+                                if q.abs() == slider || q.abs() == QUEEN {
+                                    pinned |= 1u128 << s;
+                                }
+                            }
+                            break;
+                        }
+                        if shield.is_some() {
+                            break;
+                        }
+                        shield = Some(t);
+                    }
+                    t += d;
+                }
+            }
+        }
+        pinned
+    }
+
+    /// Generates fully legal moves, in pseudo-move order.
+    ///
+    /// Only three kinds of pseudo-move can leave the mover's king
+    /// attacked: king moves, any move made while in check, and moves of
+    /// a pinned piece (see [`Board::pinned`]). Those take the
+    /// make/[`in_check`](Board::in_check)/unmake test. Every other move is
+    /// legal by construction: with the king not in check, moving a piece
+    /// that shields it from no slider can only block or capture
+    /// attackers, never expose the king.
     pub fn legal_moves(&mut self) -> Vec<Move> {
+        let mut moves = Vec::with_capacity(64);
+        self.pseudo_moves(&mut moves);
+        let side = self.side;
+        let king = self.kings[Board::king_index(side)];
+        // A captured king reads as "in check", so every move is tested
+        // and fails, exactly as the full filter would have it.
+        let checked = self.in_check(side);
+        let pinned = if checked { 0 } else { self.pinned(side) };
+        moves.retain(|&m| {
+            if !checked && m.from != king && pinned >> m.from & 1 == 0 {
+                return true;
+            }
+            self.make(m);
+            let ok = !self.in_check(side);
+            self.unmake(m);
+            ok
+        });
+        moves
+    }
+
+    /// The reference legality filter: make/in_check/unmake on every
+    /// pseudo-move.
+    #[cfg(test)]
+    fn legal_moves_naive(&mut self) -> Vec<Move> {
         let mut pseudo = Vec::with_capacity(64);
         self.pseudo_moves(&mut pseudo);
         let side = self.side;
@@ -295,6 +396,22 @@ impl Board {
             self.unmake(m);
         }
         nodes
+    }
+
+    /// XOR delta that [`Board::make`]`(m)` applies to [`Board::hash`],
+    /// read from the position before the move (or after its unmake).
+    fn hash_delta(&self, m: Move) -> u64 {
+        let p = self.squares[m.from as usize];
+        let placed = if m.promotion {
+            piece::QUEEN * p.signum()
+        } else {
+            p
+        };
+        let mut delta = SIDE_KEY ^ zobrist(p, m.from) ^ zobrist(placed, m.to);
+        if m.captured != 0 {
+            delta ^= zobrist(m.captured, m.to);
+        }
+        delta
     }
 
     /// Zobrist-style hash of the position.
@@ -328,26 +445,79 @@ impl Board {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
+const fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
 
+/// The side-to-move term [`Board::hash`] flips on every move.
+const SIDE_KEY: u64 = 0x9E37 ^ 0x79B9;
+
+/// [`Board::hash`]'s per-(piece, square) keys, indexed by `piece + 6`
+/// and 0x88 square; evaluated at compile time.
+static ZOBRIST: [[u64; 128]; 13] = {
+    let mut keys = [[0u64; 128]; 13];
+    let mut code = 0;
+    while code < 13 {
+        let mut s = 0;
+        while s < 128 {
+            keys[code][s] = splitmix((code * 131 + s) as u64);
+            s += 1;
+        }
+        code += 1;
+    }
+    keys
+};
+
+fn zobrist(p: i8, sq: u8) -> u64 {
+    ZOBRIST[(p + 6) as usize][sq as usize]
+}
+
 const PIECE_VALUE: [i32; 7] = [0, 100, 320, 330, 500, 900, 20000];
 
 /// Center-weighted piece-square bonus.
-fn square_bonus(sq: u8) -> i32 {
+const fn square_bonus(sq: usize) -> i32 {
     let file = (sq & 7) as i32;
     let rank = (sq >> 4) as i32;
-    let df = (file - 3).abs().min((file - 4).abs());
-    let dr = (rank - 3).abs().min((rank - 4).abs());
+    let df = min((file - 3).abs(), (file - 4).abs());
+    let dr = min((rank - 3).abs(), (rank - 4).abs());
     8 - 2 * (df + dr)
 }
 
+const fn min(a: i32, b: i32) -> i32 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// White-positive material plus square bonus of piece `p` on 0x88 square
+/// `sq`, indexed by `p + 6`; evaluated at compile time.
+static PIECE_SQUARE: [[i32; 128]; 13] = {
+    let mut table = [[0i32; 128]; 13];
+    let mut code = 0;
+    while code < 13 {
+        let p = code as i32 - 6;
+        let mut sq = 0;
+        while sq < 128 {
+            if p != 0 {
+                table[code][sq] =
+                    (PIECE_VALUE[p.unsigned_abs() as usize] + square_bonus(sq)) * p.signum();
+            }
+            sq += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
 struct Engine<'a> {
     board: Board,
+    /// `board.hash()`, kept incrementally by [`Engine::make`]/`unmake`.
+    hash: u64,
     profiler: &'a mut Profiler,
     fns: Fns,
     tt: Vec<(u64, i32, u32)>, // (hash, score, depth)
@@ -379,20 +549,15 @@ impl Engine<'_> {
     fn evaluate(&mut self) -> i32 {
         self.profiler.enter(self.fns.evaluate);
         let mut score = 0;
-        for s in 0..128u8 {
-            if s & 0x88 != 0 {
-                continue;
-            }
-            let p = self.board.squares[s as usize];
+        for rank in 0..8u8 {
             // The board scan reads one cache line per rank; reporting one
             // load per eight squares models that without drowning the
             // profiler in events.
-            if s % 8 == 0 {
-                self.profiler.load(BOARD_REGION + s as u64);
-            }
-            if p != 0 {
-                let v = PIECE_VALUE[p.unsigned_abs() as usize] + square_bonus(s);
-                score += v * p.signum() as i32;
+            self.profiler.load(BOARD_REGION + rank as u64 * 16);
+            let pieces = occupied(self.board.rank_word(rank));
+            for s in Board::marked_squares(rank, pieces) {
+                let p = self.board.squares[s as usize];
+                score += PIECE_SQUARE[(p + 6) as usize][s as usize];
                 self.profiler.retire(2);
             }
         }
@@ -452,19 +617,25 @@ impl Engine<'_> {
         self.profiler.store(BOARD_REGION + m.to as u64);
         self.profiler.store(BOARD_REGION + m.from as u64);
         self.profiler.retire(3);
+        self.hash ^= self.board.hash_delta(m);
         self.board.make(m);
+        #[cfg(test)]
+        assert_eq!(self.hash, self.board.hash(), "hash drifted after make");
         self.profiler.exit();
     }
 
     fn unmake(&mut self, m: Move) {
         self.board.unmake(m);
+        self.hash ^= self.board.hash_delta(m);
+        #[cfg(test)]
+        assert_eq!(self.hash, self.board.hash(), "hash drifted after unmake");
         self.profiler.retire(3);
     }
 
     fn search(&mut self, depth: u32, mut alpha: i32, beta: i32) -> i32 {
         self.profiler.enter(self.fns.search);
         self.nodes += 1;
-        let hash = self.board.hash();
+        let hash = self.hash;
         let slot = (hash as usize) & (TT_SIZE - 1);
         self.profiler.load(TT_REGION + slot as u64 * 16);
         let (tt_hash, tt_score, tt_depth) = self.tt[slot];
@@ -511,6 +682,7 @@ pub fn analyze(spec: &PositionSpec, profiler: &mut Profiler) -> (i32, u64) {
     let fns = register(profiler);
     let board = Board::from_spec(spec);
     let mut engine = Engine {
+        hash: board.hash(),
         board,
         profiler,
         fns,
@@ -598,6 +770,107 @@ mod tests {
         assert_eq!(b.perft(1), 20);
         assert_eq!(b.perft(2), 400);
         assert_eq!(b.perft(3), 8902);
+        assert_eq!(b.perft(4), 197_281);
+    }
+
+    /// A seeded random position: both kings plus up to 20 random pieces
+    /// (pawns off the back ranks), either side to move. Dense random
+    /// placement produces checks, pins and promotions far more often
+    /// than play from the initial position does.
+    fn random_board(seed: u64) -> Board {
+        use piece::*;
+        fn draw(state: &mut u64, bound: u64) -> u64 {
+            *state = splitmix(*state);
+            *state % bound
+        }
+        fn place(squares: &mut [i8; 128], state: &mut u64, p: i8) -> usize {
+            loop {
+                let sq = (draw(state, 8) * 16 + draw(state, 8)) as usize;
+                if squares[sq] == 0 && !(p.abs() == PAWN && matches!(sq >> 4, 0 | 7)) {
+                    squares[sq] = p;
+                    return sq;
+                }
+            }
+        }
+        let mut state = seed;
+        let mut squares = [0i8; 128];
+        let white_king = place(&mut squares, &mut state, KING);
+        let black_king = place(&mut squares, &mut state, -KING);
+        for _ in 0..2 + draw(&mut state, 19) {
+            let kind =
+                [PAWN, PAWN, PAWN, KNIGHT, BISHOP, ROOK, QUEEN][draw(&mut state, 7) as usize];
+            let colour = if draw(&mut state, 2) == 0 { 1 } else { -1 };
+            place(&mut squares, &mut state, kind * colour);
+        }
+        Board {
+            squares,
+            side: if draw(&mut state, 2) == 0 { 1 } else { -1 },
+            kings: [white_king as u8, black_king as u8],
+        }
+    }
+
+    #[test]
+    fn legal_moves_match_the_full_filter() {
+        let (mut checks, mut pins, mut promotions) = (0, 0, 0);
+        for seed in 0..1_500u64 {
+            let mut board = if seed % 3 == 0 {
+                Board::from_spec(&PositionSpec {
+                    seed,
+                    random_moves: (seed % 90) as u32,
+                    depth: 1,
+                })
+            } else {
+                random_board(seed)
+            };
+            let snapshot = board.clone();
+            let fast = board.legal_moves();
+            assert_eq!(
+                board, snapshot,
+                "seed {seed}: legal_moves mutated the board"
+            );
+            let naive = board.legal_moves_naive();
+            assert_eq!(fast, naive, "seed {seed}: {snapshot:?}");
+            let side = board.side;
+            checks += board.in_check(side) as u32;
+            pins += (board.pinned(side) != 0) as u32;
+            promotions += fast.iter().any(|m| m.promotion) as u32;
+        }
+        assert!(checks >= 50, "only {checks} positions in check");
+        assert!(pins >= 50, "only {pins} positions with a pin");
+        assert!(
+            promotions >= 50,
+            "only {promotions} positions with a promotion"
+        );
+    }
+
+    #[test]
+    fn incremental_hash_tracks_every_search_node() {
+        // `Engine::make`/`unmake` assert the incremental hash against a
+        // full rescan in test builds, so every node of these searches is
+        // checked, captures and promotions included.
+        for seed in 0..12u64 {
+            let spec = PositionSpec {
+                seed,
+                random_moves: 10 + (seed as u32 * 7) % 60,
+                depth: 3,
+            };
+            let mut p = Profiler::default();
+            let (_, nodes) = analyze(&spec, &mut p);
+            assert!(nodes > 0);
+        }
+        let mut p = Profiler::default();
+        let fns = register(&mut p);
+        let board = random_board(7);
+        let mut engine = Engine {
+            hash: board.hash(),
+            board,
+            profiler: &mut p,
+            fns,
+            tt: vec![(u64::MAX, 0, 0); TT_SIZE],
+            nodes: 0,
+        };
+        engine.search(3, -MATE * 2, MATE * 2);
+        assert_eq!(engine.hash, engine.board.hash());
     }
 
     #[test]
@@ -634,6 +907,7 @@ mod tests {
         let mut p = Profiler::default();
         let fns = register(&mut p);
         let mut engine = Engine {
+            hash: b.hash(),
             board: b,
             profiler: &mut p,
             fns,

@@ -42,6 +42,16 @@ impl Color {
     }
 }
 
+/// A set of board points, one bit each (boards are at most 25×25).
+type PointSet = [u64; 10];
+
+fn insert(set: &mut PointSet, i: usize) -> bool {
+    let (w, b) = (i / 64, i % 64);
+    let fresh = set[w] >> b & 1 == 0;
+    set[w] |= 1 << b;
+    fresh
+}
+
 /// A Go board.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoBoard {
@@ -155,45 +165,47 @@ impl GoBoard {
     }
 
     /// Fast capture probe: flood-fills the group at `idx` but returns
-    /// `None` as soon as any liberty is found. Only a captured group —
-    /// the rare case — pays for the full group vector.
-    fn group_if_captured(&self, idx: usize) -> Option<Vec<usize>> {
+    /// `None` as soon as any liberty is found. The fill needs no
+    /// allocation: the group's bitset doubles as the work list, its
+    /// unvisited members being the bits not yet in `done`.
+    fn group_if_captured(&self, idx: usize) -> Option<PointSet> {
         let color = self.cells[idx];
-        let mut group = Vec::with_capacity(8);
-        group.push(idx);
-        let mut seen = [0u64; 10];
-        seen[idx / 64] |= 1 << (idx % 64);
-        let mut cursor = 0;
-        while cursor < group.len() {
-            let s = group[cursor];
-            cursor += 1;
+        let mut group: PointSet = [0; 10];
+        let mut done: PointSet = [0; 10];
+        insert(&mut group, idx);
+        // Every unvisited member lies in a word at or above `low`.
+        let mut low = idx / 64;
+        while let Some(w) = (low..10).find(|&w| group[w] & !done[w] != 0) {
+            low = w;
+            let s = w * 64 + (group[w] & !done[w]).trailing_zeros() as usize;
+            done[w] |= 1 << (s % 64);
             let (neigh, count) = self.neighbors4(s);
             for &n in neigh.iter().take(count) {
                 if self.cells[n] == 0 {
                     return None; // liberty: not captured
                 }
-                if self.cells[n] == color && seen[n / 64] >> (n % 64) & 1 == 0 {
-                    seen[n / 64] |= 1 << (n % 64);
-                    group.push(n);
+                if self.cells[n] == color && insert(&mut group, n) {
+                    low = low.min(n / 64);
                 }
             }
         }
         Some(group)
     }
 
-    /// Early-exit liberty probe for the suicide check.
-    fn liberties_only(&self, idx: usize) -> usize {
-        if self.group_if_captured(idx).is_some() {
-            0
-        } else {
-            1
-        }
+    /// Whether the group at `idx` has at least one liberty (the suicide
+    /// check).
+    fn has_liberty(&self, idx: usize) -> bool {
+        self.group_if_captured(idx).is_none()
     }
 
     /// Attempts to play at `(x, y)`. Returns captured stone count, or
     /// `None` if the move is illegal (occupied or suicide).
     pub fn play(&mut self, x: usize, y: usize, color: Color) -> Option<u32> {
-        let idx = y * self.size + x;
+        self.play_at(y * self.size + x, color)
+    }
+
+    /// [`GoBoard::play`] at point index `idx`.
+    fn play_at(&mut self, idx: usize, color: Color) -> Option<u32> {
         if self.cells[idx] != 0 {
             return None;
         }
@@ -205,15 +217,19 @@ impl GoBoard {
         for &n in neigh.iter().take(count) {
             if self.cells[n] == opp {
                 if let Some(group) = self.group_if_captured(n) {
-                    captured += group.len() as u32;
-                    for g in group {
-                        self.cells[g] = 0;
+                    for (w, &bits) in group.iter().enumerate() {
+                        captured += bits.count_ones();
+                        let mut rest = bits;
+                        while rest != 0 {
+                            self.cells[w * 64 + rest.trailing_zeros() as usize] = 0;
+                            rest &= rest - 1;
+                        }
                     }
                 }
             }
         }
         // Suicide check.
-        if captured == 0 && self.liberties_only(idx) == 0 {
+        if captured == 0 && !self.has_liberty(idx) {
             self.cells[idx] = 0;
             return None;
         }
@@ -235,11 +251,7 @@ impl GoBoard {
             if self.is_true_eye(idx, color) {
                 continue;
             }
-            let mut probe = self.clone();
-            if probe
-                .play(idx % self.size, idx / self.size, color)
-                .is_some()
-            {
+            if self.clone().play_at(idx, color).is_some() {
                 out.push(idx);
             }
         }
@@ -255,18 +267,18 @@ impl GoBoard {
     /// flood-filled empty region touches only one color.
     pub fn area_score(&self) -> i32 {
         let mut score = 0i32;
-        let mut seen = vec![false; self.cells.len()];
+        let mut seen: PointSet = [0; 10];
+        let mut stack = Vec::with_capacity(self.cells.len());
         for idx in 0..self.cells.len() {
             match self.cells[idx] {
                 1 => score += 1,
                 2 => score -= 1,
                 _ => {
-                    if seen[idx] {
+                    if !insert(&mut seen, idx) {
                         continue;
                     }
                     // Flood the empty region.
-                    let mut stack = vec![idx];
-                    seen[idx] = true;
+                    stack.push(idx);
                     let mut region = 1i32;
                     let mut touches_black = false;
                     let mut touches_white = false;
@@ -277,8 +289,7 @@ impl GoBoard {
                                 1 => touches_black = true,
                                 2 => touches_white = true,
                                 _ => {
-                                    if !seen[n] {
-                                        seen[n] = true;
+                                    if insert(&mut seen, n) {
                                         region += 1;
                                         stack.push(n);
                                     }
@@ -345,8 +356,7 @@ fn playout(
         let mut played = false;
         let start = (splitmix(rng) % points as u64) as usize;
         let mut probes = 0;
-        for k in 0..points {
-            let m = (start + k) % points;
+        for m in (start..points).chain(0..start) {
             if b.cells[m] != 0 {
                 continue;
             }
@@ -360,7 +370,7 @@ fn playout(
                 continue;
             }
             profiler.branch(1, false);
-            if b.play(m % b.size(), m / b.size(), to_move).is_some() {
+            if b.play_at(m, to_move).is_some() {
                 profiler.store(BOARD_REGION + m as u64 % (1 << 20));
                 profiler.retire(6);
                 played = true;
@@ -430,7 +440,7 @@ pub(crate) fn engine_move(
         profiler.exit();
         let m = moves[pick];
         let mut b = board.clone();
-        b.play(m % b.size(), m / b.size(), color);
+        b.play_at(m, color);
         let score = playout(&b, color.other(), rng, profiler, fns);
         let won = match color {
             Color::Black => score > 0,
@@ -459,7 +469,7 @@ pub(crate) fn play_game(spec: &GameSpec, profiler: &mut Profiler, fns: &Fns) -> 
             break;
         }
         let m = moves[(splitmix(&mut rng) % moves.len() as u64) as usize];
-        board.play(m % board.size(), m / board.size(), to_move);
+        board.play_at(m, to_move);
         to_move = to_move.other();
     }
     // Engine finishes the game.
@@ -467,7 +477,7 @@ pub(crate) fn play_game(spec: &GameSpec, profiler: &mut Profiler, fns: &Fns) -> 
     for _ in 0..spec.moves_to_play {
         match engine_move(&board, to_move, spec.playouts, &mut rng, profiler, fns) {
             Some(m) => {
-                board.play(m % board.size(), m / board.size(), to_move);
+                board.play_at(m, to_move);
                 engine_moves += 1;
             }
             None => break,
@@ -525,6 +535,133 @@ impl Benchmark for MiniLeela {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original capture probe: collects the group in a vector.
+    fn group_if_captured_reference(b: &GoBoard, idx: usize) -> Option<Vec<usize>> {
+        let color = b.cells[idx];
+        let mut group = vec![idx];
+        let mut cursor = 0;
+        while cursor < group.len() {
+            let s = group[cursor];
+            cursor += 1;
+            for n in b.neighbors(s) {
+                if b.cells[n] == 0 {
+                    return None;
+                }
+                if b.cells[n] == color && !group.contains(&n) {
+                    group.push(n);
+                }
+            }
+        }
+        Some(group)
+    }
+
+    /// The original `play`.
+    fn play_reference(b: &mut GoBoard, idx: usize, color: Color) -> Option<u32> {
+        if b.cells[idx] != 0 {
+            return None;
+        }
+        b.cells[idx] = color.cell();
+        let mut captured = 0u32;
+        let opp = color.other().cell();
+        let (neigh, count) = b.neighbors4(idx);
+        for &n in &neigh[..count] {
+            if b.cells[n] == opp {
+                if let Some(group) = group_if_captured_reference(b, n) {
+                    captured += group.len() as u32;
+                    for g in group {
+                        b.cells[g] = 0;
+                    }
+                }
+            }
+        }
+        if captured == 0 && group_if_captured_reference(b, idx).is_some() {
+            b.cells[idx] = 0;
+            return None;
+        }
+        b.captures[match color {
+            Color::Black => 0,
+            Color::White => 1,
+        }] += captured;
+        Some(captured)
+    }
+
+    /// The original `area_score`: a fresh `Vec` per empty region.
+    fn area_score_reference(b: &GoBoard) -> i32 {
+        let mut score = 0i32;
+        let mut seen = vec![false; b.cells.len()];
+        for idx in 0..b.cells.len() {
+            match b.cells[idx] {
+                1 => score += 1,
+                2 => score -= 1,
+                _ if seen[idx] => {}
+                _ => {
+                    let mut stack = vec![idx];
+                    seen[idx] = true;
+                    let (mut region, mut black, mut white) = (1i32, false, false);
+                    while let Some(s) = stack.pop() {
+                        for n in b.neighbors(s) {
+                            match b.cells[n] {
+                                1 => black = true,
+                                2 => white = true,
+                                _ if !seen[n] => {
+                                    seen[n] = true;
+                                    region += 1;
+                                    stack.push(n);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                    if black != white {
+                        score += if black { region } else { -region };
+                    }
+                }
+            }
+        }
+        score
+    }
+
+    #[test]
+    fn play_and_capture_probe_match_the_originals_on_random_boards() {
+        let (mut captures, mut suicides) = (0, 0);
+        for seed in 0..150u64 {
+            let size = 5 + (seed % 15) as usize;
+            let mut fast = GoBoard::new(size);
+            let mut reference = GoBoard::new(size);
+            let mut rng = seed;
+            for step in 0..3 * size * size {
+                let idx = (splitmix(&mut rng) % (size * size) as u64) as usize;
+                let color = if splitmix(&mut rng) & 1 == 0 {
+                    Color::Black
+                } else {
+                    Color::White
+                };
+                if step % 7 == 0 {
+                    assert_eq!(fast.area_score(), area_score_reference(&reference));
+                    for p in (0..size * size).filter(|&p| fast.cells[p] != 0) {
+                        let mut expected = group_if_captured_reference(&reference, p);
+                        if let Some(group) = expected.as_mut() {
+                            group.sort_unstable();
+                        }
+                        let actual = fast.group_if_captured(p).map(|set| {
+                            (0..size * size)
+                                .filter(|&i| set[i / 64] >> (i % 64) & 1 == 1)
+                                .collect::<Vec<_>>()
+                        });
+                        assert_eq!(actual, expected, "seed {seed} step {step} point {p}");
+                    }
+                }
+                let played = fast.play_at(idx, color);
+                assert_eq!(played, play_reference(&mut reference, idx, color));
+                assert_eq!(fast, reference, "seed {seed} step {step}");
+                captures += matches!(played, Some(n) if n > 0) as u32;
+                suicides += (played.is_none() && reference.cells[idx] == 0) as u32;
+            }
+        }
+        assert!(captures > 100, "only {captures} captures");
+        assert!(suicides > 100, "only {suicides} suicides");
+    }
 
     #[test]
     fn single_stone_capture() {

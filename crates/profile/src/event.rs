@@ -81,6 +81,7 @@ impl EventTrace {
     /// by the profiler's per-kind interval.) The retained set is always
     /// exactly the offers at phases `{k · weight()}`: decimation keeps the
     /// survivors on the same lattice the go-forward retention uses.
+    #[inline]
     pub fn push(&mut self, event: Event) -> bool {
         self.push_diluted(event, 1)
     }
@@ -97,6 +98,7 @@ impl EventTrace {
     /// # Panics
     ///
     /// Panics if `dilution` is zero.
+    #[inline]
     pub fn push_diluted(&mut self, event: Event, dilution: u64) -> bool {
         assert!(dilution > 0, "dilution must be positive");
         self.phase += 1;
@@ -109,7 +111,16 @@ impl EventTrace {
         if self.events.len() >= self.capacity {
             self.decimate();
         }
-        if !self.phase.is_multiple_of(self.weight * dilution) {
+        // Every ungated stride is a power of two (weight 1, doubled by
+        // each decimation), so the lattice test is a mask; only a preset
+        // odd weight pays for the division.
+        let stride = self.weight * dilution;
+        let on_lattice = if stride.is_power_of_two() {
+            self.phase & (stride - 1) == 0
+        } else {
+            self.phase.is_multiple_of(stride)
+        };
+        if !on_lattice {
             return false;
         }
         self.events.push(event);
@@ -133,6 +144,8 @@ impl EventTrace {
     /// bounded rather than overshooting forever.
     ///
     /// [`preset_weight`]: EventTrace::preset_weight
+    #[cold]
+    #[inline(never)]
     fn decimate(&mut self) {
         let mut keep = 0;
         for i in (1..self.events.len()).step_by(2) {

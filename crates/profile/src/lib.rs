@@ -43,6 +43,7 @@
 pub mod calltree;
 pub mod chunks;
 pub mod event;
+mod footprint;
 pub mod profiler;
 
 pub use calltree::{CallNode, CallTree, PathRow, PathTable};

@@ -3,7 +3,8 @@
 use crate::calltree::{CallTree, PathTable};
 use crate::chunks::EventChunks;
 use crate::event::{Event, EventTrace, DEFAULT_TRACE_CAPACITY};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::footprint::LineBitmap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifier of an instrumented function, issued by
@@ -490,6 +491,18 @@ pub struct Profiler {
     mem_phase: u32,
     call_phase: u32,
     events: u64,
+    /// Event index at which `sampling.fault` fires (0, which no event
+    /// reaches, when there is none).
+    fault_at: u64,
+    /// Retired-op count above which the run aborts (`u64::MAX` when
+    /// there is no work budget).
+    retire_limit: u64,
+    /// Retired-op count up to which work is attributed to `fn_work` and
+    /// the call tree. Work retired since then belongs to the innermost
+    /// scope, which cannot change without [`Profiler::attribute`] being
+    /// called first, so attribution is settled once per scope change
+    /// instead of once per retiring hook.
+    attributed_ops: u64,
     /// Interval-slicing state (active iff `sampling.interval_work`).
     intervals: Vec<IntervalSnapshot>,
     interval_start: Totals,
@@ -502,15 +515,10 @@ pub struct Profiler {
     window_cursor: usize,
     trace_gated: bool,
     trace_on: bool,
-    /// Footprint state: distinct line/page numbers seen, with a
-    /// last-seen memo so the sequential hot path skips the set probe.
-    /// The shifts are the fixed `Footprint` granularities (6 and 12),
-    /// so a real line/page number can never equal the `u64::MAX`
-    /// "nothing seen yet" memo value.
-    seen_lines: HashSet<u64>,
-    seen_pages: HashSet<u64>,
-    last_line: u64,
-    last_page: u64,
+    /// Every line touched, one bit each, by page. Every load/store hook
+    /// records its address here before any sampling decision, so
+    /// footprints stay exact under decimation and window gating.
+    footprint: LineBitmap,
 }
 
 /// Dilution factor of the *control* warming stream (branches, calls,
@@ -552,6 +560,13 @@ impl Profiler {
             mem_phase: 0,
             call_phase: 0,
             events: 0,
+            fault_at: match sampling.fault {
+                Some(ProfilerFault::PanicAtEvent(n)) => n,
+                Some(ProfilerFault::CorruptEvents { at }) => at,
+                None => 0,
+            },
+            retire_limit: sampling.work_budget.unwrap_or(u64::MAX),
+            attributed_ops: 0,
             intervals: Vec::new(),
             interval_start: Totals::default(),
             interval_fn_work: Vec::new(),
@@ -560,10 +575,7 @@ impl Profiler {
             window_cursor: 0,
             trace_gated: false,
             trace_on: true,
-            seen_lines: HashSet::new(),
-            seen_pages: HashSet::new(),
-            last_line: u64::MAX,
-            last_page: u64::MAX,
+            footprint: LineBitmap::default(),
         }
     }
 
@@ -649,35 +661,23 @@ impl Profiler {
         }
     }
 
-    /// Records `addr` in the working-set footprint. Called by every
-    /// load/store hook — before any sampling decision — so footprints
-    /// stay exact under decimation and window gating.
+    /// Attributes the work retired since the last call to the innermost
+    /// open scope (or to no function outside every scope). Called before
+    /// the scope stack changes and before `fn_work` or the call tree is
+    /// read.
     #[inline]
-    fn touch(&mut self, addr: u64) {
-        const LINE_SHIFT: u32 = Footprint::LINE_BYTES.trailing_zeros();
-        const PAGE_SHIFT: u32 = Footprint::PAGE_BYTES.trailing_zeros();
-        let line = addr >> LINE_SHIFT;
-        if line != self.last_line {
-            self.last_line = line;
-            self.seen_lines.insert(line);
-            let page = addr >> PAGE_SHIFT;
-            if page != self.last_page {
-                self.last_page = page;
-                self.seen_pages.insert(page);
-            }
+    fn attribute(&mut self) {
+        let n = self.totals.retired_ops - self.attributed_ops;
+        self.attributed_ops = self.totals.retired_ops;
+        if let Some(frame) = self.stack.last() {
+            self.fn_work[frame.id.0 as usize] += n;
         }
-    }
-
-    /// The cumulative footprint at the present point of the run.
-    fn current_footprint(&self) -> Footprint {
-        Footprint {
-            lines: self.seen_lines.len() as u64,
-            pages: self.seen_pages.len() as u64,
-        }
+        self.calltree.retire(n);
     }
 
     /// Cuts the current fixed-work interval at the present counter state.
     fn cut_interval(&mut self) {
+        self.attribute();
         let totals = self.totals.delta_since(&self.interval_start);
         let fn_work: Vec<u64> = self
             .fn_work
@@ -691,7 +691,7 @@ impl Profiler {
             end_ops: self.totals.retired_ops,
             totals,
             fn_work,
-            footprint: self.current_footprint(),
+            footprint: self.footprint.footprint(),
         });
         self.interval_start = self.totals;
         self.interval_fn_work.clone_from(&self.fn_work);
@@ -703,17 +703,36 @@ impl Profiler {
     #[inline]
     fn tick(&mut self) {
         self.events += 1;
+        if self.events == self.fault_at {
+            self.fire_fault();
+        }
+    }
+
+    /// Applies the injected fault; only reached at `fault_at`.
+    #[cold]
+    #[inline(never)]
+    fn fire_fault(&mut self) {
         match self.sampling.fault {
-            Some(ProfilerFault::PanicAtEvent(n)) if self.events == n => {
+            Some(ProfilerFault::PanicAtEvent(n)) => {
                 panic!("injected fault: forced panic at event {n}");
             }
-            Some(ProfilerFault::CorruptEvents { at }) if self.events == at => {
+            Some(ProfilerFault::CorruptEvents { .. }) => {
                 // Inflate past any count a real run could reach so
                 // `Profile::validate` is guaranteed to notice.
                 self.totals.taken_branches += 1 << 40;
             }
-            _ => {}
+            None => {}
         }
+    }
+
+    /// Aborts the run with the typed budget payload.
+    #[cold]
+    #[inline(never)]
+    fn exceed_budget(&self) -> ! {
+        std::panic::panic_any(BudgetExceeded {
+            budget: self.retire_limit,
+            retired_ops: self.totals.retired_ops,
+        })
     }
 
     /// Adds retired ops and enforces the work budget. Every retiring hook
@@ -722,18 +741,9 @@ impl Profiler {
     #[inline]
     fn add_retired(&mut self, n: u64) {
         self.totals.retired_ops += n;
-        if let Some(budget) = self.sampling.work_budget {
-            if self.totals.retired_ops > budget {
-                std::panic::panic_any(BudgetExceeded {
-                    budget,
-                    retired_ops: self.totals.retired_ops,
-                });
-            }
+        if self.totals.retired_ops > self.retire_limit {
+            self.exceed_budget();
         }
-        if let Some(frame) = self.stack.last() {
-            self.fn_work[frame.id.0 as usize] += n;
-        }
-        self.calltree.retire(n);
         if self.totals.retired_ops >= self.next_interval_end {
             // interval_work is Some here: the boundary is u64::MAX otherwise.
             let iw = self.sampling.interval_work.unwrap_or(u64::MAX);
@@ -783,6 +793,7 @@ impl Profiler {
             "unregistered function id {id:?}"
         );
         self.tick();
+        self.attribute();
         self.fn_calls[id.0 as usize] += 1;
         self.totals.calls += 1;
         self.calltree.descend(id);
@@ -813,6 +824,7 @@ impl Profiler {
     #[inline]
     pub fn exit(&mut self) {
         self.tick();
+        self.attribute();
         let frame = self.stack.pop().expect("exit without matching enter");
         self.calltree.ascend();
         // Emit the Return iff *this* scope's Call was sampled, so the
@@ -865,7 +877,7 @@ impl Profiler {
     #[inline]
     pub fn load(&mut self, addr: u64) {
         self.tick();
-        self.touch(addr);
+        self.footprint.touch(addr);
         self.totals.loads += 1;
         self.add_retired(1);
         self.mem_phase += 1;
@@ -884,7 +896,7 @@ impl Profiler {
     #[inline]
     pub fn store(&mut self, addr: u64) {
         self.tick();
-        self.touch(addr);
+        self.footprint.touch(addr);
         self.totals.stores += 1;
         self.add_retired(1);
         self.mem_phase += 1;
@@ -916,6 +928,7 @@ impl Profiler {
             "profiler finished with {} open scopes",
             self.stack.len()
         );
+        self.attribute();
         // Flush the trailing partial interval so every retired op belongs
         // to exactly one snapshot.
         if self.sampling.interval_work.is_some()
@@ -932,7 +945,7 @@ impl Profiler {
             window.trace_end = at;
             self.trace_on = false;
         }
-        let footprint = self.current_footprint();
+        let footprint = self.footprint.footprint();
         let mut calltree = self.calltree;
         calltree.seal();
         Profile {

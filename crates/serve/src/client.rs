@@ -57,6 +57,11 @@ impl Client {
         group: Option<GroupInfo>,
     ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Requests are small writes the daemon answers one round trip
+        // at a time; Nagle would hold each back for a delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("nodelay: {e}"))?;
         let writer = stream.try_clone().map_err(|e| e.to_string())?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -182,11 +187,12 @@ impl Client {
         }
     }
 
+    /// Writes one message as a single line in a single write.
     fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
+        let mut line = msg.encode();
+        line.push('\n');
         self.writer
-            .write_all(msg.encode().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
+            .write_all(line.as_bytes())
             .map_err(|e| format!("send: {e}"))
     }
 

@@ -104,6 +104,9 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: Option<std::net::SocketAddr>,
 ) -> io::Result<()> {
+    // Every reply is one small write answering a request the client is
+    // blocked on; Nagle would hold it back for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
 
@@ -318,8 +321,9 @@ fn drain_grouped(
     mine
 }
 
+/// Writes one message as a single line in a single write.
 fn send(writer: &mut TcpStream, msg: &ServerMsg) -> io::Result<()> {
-    writer.write_all(msg.encode().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    let mut line = msg.encode();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }

@@ -16,7 +16,7 @@
 //! the first batch computes and the second finds everything on disk.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use alberta_core::json::Value;
@@ -26,7 +26,8 @@ use alberta_core::telemetry::{
     MetricsRegistry, Plane, SpanLog, COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS,
 };
 use alberta_core::{
-    benchmark_suite, summarize_runs, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig, Suite,
+    benchmark_suite, summarize_runs, Benchmark, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig,
+    Scale, Suite,
 };
 use alberta_report::{BenchmarkReport, CacheDocument, HostRecord, MetricsDocument, RunRecord};
 
@@ -287,6 +288,9 @@ pub struct Engine {
     metrics: MetricsRegistry,
     spans: Mutex<SpanLog>,
     batch_lock: Mutex<()>,
+    /// The reference suite requests expand against, per scale, built on
+    /// the first request that needs it.
+    reference_suites: [OnceLock<Vec<Box<dyn Benchmark>>>; 3],
 }
 
 impl Engine {
@@ -312,7 +316,18 @@ impl Engine {
             metrics,
             spans: Mutex::new(SpanLog::new()),
             batch_lock: Mutex::new(()),
+            reference_suites: Default::default(),
         }
+    }
+
+    /// The reference suite for `scale`, built once per engine.
+    fn reference_suite(&self, scale: Scale) -> &[Box<dyn Benchmark>] {
+        let slot = match scale {
+            Scale::Test => 0,
+            Scale::Train => 1,
+            Scale::Ref => 2,
+        };
+        self.reference_suites[slot].get_or_init(|| benchmark_suite(scale))
     }
 
     /// The underlying cache.
@@ -385,13 +400,11 @@ impl Engine {
         // Expand every request against the reference suite for its
         // scale; invalid names resolve to errors without executing
         // anything.
-        let mut suites: HashMap<&'static str, Vec<Box<dyn alberta_core::Benchmark>>> =
-            HashMap::new();
         let mut expansions: Vec<Result<Expansion, String>> = Vec::with_capacity(ordered.len());
         let mut key_tasks: BTreeMap<String, KeyTask> = BTreeMap::new();
         let mut first_owner: HashMap<String, usize> = HashMap::new();
         for (idx, request) in ordered.iter().enumerate() {
-            let expansion = expand(request, &mut suites);
+            let expansion = expand(request, self.reference_suite(request.spec.scale));
             if let Ok(expansion) = &expansion {
                 for (workload, key) in &expansion.keys {
                     first_owner.entry(key.clone()).or_insert(idx);
@@ -930,14 +943,8 @@ fn run_host(
 
 /// Expands one request into its benchmark identity and ordered key
 /// list, validating names against the reference suite for its scale.
-fn expand(
-    request: &BatchRequest,
-    suites: &mut HashMap<&'static str, Vec<Box<dyn alberta_core::Benchmark>>>,
-) -> Result<Expansion, String> {
+fn expand(request: &BatchRequest, suite: &[Box<dyn Benchmark>]) -> Result<Expansion, String> {
     let spec = &request.spec;
-    let suite = suites
-        .entry(spec.scale_name())
-        .or_insert_with(|| benchmark_suite(spec.scale));
     let benchmark = suite
         .iter()
         .find(|b| b.short_name() == spec.benchmark || b.name() == spec.benchmark)

@@ -13,7 +13,7 @@
 use alberta_core::json::{self, Value};
 use alberta_core::protocol::{
     decode_machine, decode_predictor, decode_sampling_policy, decode_scale, machine_value,
-    predictor_value, sampling_policy_value, scale_name, scale_value, DecodeError,
+    predictor_value, sampling_policy_value, scale_value, DecodeError,
 };
 use alberta_core::{MachineConfig, PredictorKind, SamplingPolicy, Scale, TopDownModel};
 use alberta_report::SCHEMA_VERSION;
@@ -152,11 +152,6 @@ impl RequestSpec {
             ("predictor".to_owned(), predictor_value(self.predictor)),
         ]);
         document.fingerprint()
-    }
-
-    /// The scale's canonical name (handy for per-scale grouping keys).
-    pub fn scale_name(&self) -> &'static str {
-        scale_name(self.scale)
     }
 }
 

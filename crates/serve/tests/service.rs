@@ -3,6 +3,7 @@
 //! shutdown.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use alberta_core::{ExecPolicy, Scale, Suite};
 use alberta_report::SuiteReport;
@@ -291,6 +292,41 @@ fn invalid_names_resolve_to_errors_not_failures() {
     assert!(unknown_benchmark.contains("unknown benchmark"));
     let unknown_workload = responses[1].result.as_ref().expect_err("unknown workload");
     assert!(unknown_workload.contains("no workload named"));
+
+    drop(client);
+    Client::connect(&addr, None)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    daemon.join().expect("daemon thread exits");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Regression: every wire message is a small write the peer is blocked
+/// on. Without `TCP_NODELAY`, Nagle's algorithm held each one back until
+/// the peer's delayed ACK (about 40 ms on Linux), so every request +
+/// drain round trip stalled. Warm round trips must stay far under that.
+#[test]
+fn warm_round_trips_do_not_wait_for_delayed_acks() {
+    const ROUNDS: u32 = 20;
+    const DELAYED_ACK: Duration = Duration::from_millis(40);
+    let (addr, daemon, root) = start_daemon_with("nodelay", ServeConfig::default());
+    let spec = RequestSpec::new("gcc", Some("train"), Scale::Test);
+    let mut client = Client::connect(&addr, None).expect("connect");
+    client.request(&spec).expect("send");
+    client.drain().expect("cold drain");
+
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        client.request(&spec).expect("send");
+        let responses = client.drain().expect("warm drain");
+        assert_eq!(responses[0].counts.computed, 0, "warm rounds only read");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < DELAYED_ACK * ROUNDS / 4,
+        "{ROUNDS} warm round trips took {elapsed:?}"
+    );
 
     drop(client);
     Client::connect(&addr, None)
