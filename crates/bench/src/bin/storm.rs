@@ -36,17 +36,10 @@ use std::time::Instant;
 
 use alberta_bench::{flag_from_args, scale_from_args, usage_error, value_from_args};
 use alberta_core::benchmark_suite;
+use alberta_core::json::FromJson;
 use alberta_report::{BenchmarkReport, LatencyReport, StormReport, SuiteReport, SCHEMA_VERSION};
 use alberta_serve::{Client, GroupInfo, RequestSpec, ResponseCounts};
 use alberta_workloads::Scale;
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
-}
 
 fn parsed_flag(flag: &str, default: u64) -> u64 {
     match value_from_args(flag) {
@@ -136,7 +129,7 @@ fn main() {
     let seed = parsed_flag("--seed", 42);
     let out = value_from_args("--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("STORM_{}.json", scale_name(scale))));
+        .unwrap_or_else(|| PathBuf::from(format!("STORM_{}.json", scale.name())));
 
     // The seeded mix: workload-level requests drawn from every
     // (benchmark, workload) pair at this scale with a deterministic

@@ -40,10 +40,6 @@ fn run_speed_only() -> ! {
         report.events, report.reps
     );
     println!(
-        "pre-rewrite     {:>12} events/s",
-        report.baseline_events_per_sec
-    );
-    println!(
         "scalar shadow   {:>12} events/s",
         report.scalar_events_per_sec
     );
@@ -52,8 +48,8 @@ fn run_speed_only() -> ! {
         report.replay_events_per_sec
     );
     println!(
-        "speedup         {:>12.2}x vs pre-rewrite, {:.2}x vs shadow",
-        report.speedup_vs_baseline, report.speedup_vs_scalar
+        "speedup         {:>12.2}x vs shadow",
+        report.speedup_vs_scalar
     );
     if let Some(path) = alberta_bench::value_from_args("--speed-out") {
         std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {

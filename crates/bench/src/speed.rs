@@ -13,7 +13,7 @@
 //! hard assertion here: both engines must produce identical
 //! [`ReplayCounts`] before any timing is reported.
 
-use alberta_core::json::Value;
+use alberta_core::json::Fields;
 use alberta_profile::{Profile, Profiler, SampleConfig};
 use alberta_uarch::{MachineConfig, PredictorKind, ReplayCounts, ReplayState, TopDownModel};
 use std::time::Instant;
@@ -90,183 +90,6 @@ pub fn synthetic_profile(target_events: usize) -> Profile {
     prof.finish()
 }
 
-/// The detailed-measurement engine as it stood before the batched
-/// rewrite, kept in the pre-rewrite style so the speed gate measures
-/// what the rewrite actually bought: a per-event `match` over the
-/// interleaved stream, a virtual predictor call per branch, a
-/// timestamp-LRU cache with a global clock and per-access statistics
-/// folds, and a per-call fetch-probe length computation. When the
-/// memory model grew an L3 and a DRAM row-buffer layer, this engine
-/// was extended with the same levels in the same idiom (an extra
-/// stamp-LRU cache plus a scalar open-row table) so it keeps doubling
-/// as a third independent reference in the equivalence assertion —
-/// three engines, one set of counts.
-mod baseline {
-    use alberta_profile::{Event, Profile};
-    use alberta_uarch::{CacheConfig, DramConfig, MachineConfig, PredictorKind, ReplayCounts};
-
-    /// Set-associative cache with timestamp-LRU (the pre-rewrite
-    /// implementation).
-    struct StampCache {
-        tags: Vec<u64>,
-        stamps: Vec<u64>,
-        clock: u64,
-        set_mask: u64,
-        line_shift: u32,
-        ways: usize,
-        line_bytes: u64,
-        hits: u64,
-        misses: u64,
-    }
-
-    impl StampCache {
-        fn new(config: CacheConfig) -> Self {
-            let sets = config.size_bytes / (config.line_bytes * config.ways);
-            StampCache {
-                tags: vec![u64::MAX; (sets * config.ways) as usize],
-                stamps: vec![0; (sets * config.ways) as usize],
-                clock: 0,
-                set_mask: sets - 1,
-                line_shift: config.line_bytes.trailing_zeros(),
-                ways: config.ways as usize,
-                line_bytes: config.line_bytes,
-                hits: 0,
-                misses: 0,
-            }
-        }
-
-        fn access(&mut self, addr: u64) -> bool {
-            self.clock += 1;
-            let line = addr >> self.line_shift;
-            let set = (line & self.set_mask) as usize;
-            let base = set * self.ways;
-            let mut victim = base;
-            let mut oldest = u64::MAX;
-            for i in base..base + self.ways {
-                if self.tags[i] == line {
-                    self.stamps[i] = self.clock;
-                    self.hits += 1;
-                    return true;
-                }
-                if self.stamps[i] < oldest {
-                    oldest = self.stamps[i];
-                    victim = i;
-                }
-            }
-            self.tags[victim] = line;
-            self.stamps[victim] = self.clock;
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Open-page DRAM replica: one open row per bank, scalar lookups.
-    struct StampDram {
-        open_rows: Vec<u64>,
-        row_shift: u32,
-        bank_mask: u64,
-    }
-
-    impl StampDram {
-        fn new(config: DramConfig) -> Self {
-            StampDram {
-                open_rows: vec![u64::MAX; config.banks as usize],
-                row_shift: config.row_bytes.trailing_zeros(),
-                bank_mask: config.banks - 1,
-            }
-        }
-
-        fn access(&mut self, addr: u64) -> bool {
-            let row = addr >> self.row_shift;
-            let bank = (row & self.bank_mask) as usize;
-            let hit = self.open_rows[bank] == row;
-            self.open_rows[bank] = row;
-            hit
-        }
-    }
-
-    pub(super) struct BaselineState {
-        predictor: Box<dyn alberta_uarch::BranchPredictor>,
-        dtlb: StampCache,
-        l1d: StampCache,
-        l2: StampCache,
-        l3: StampCache,
-        dram: StampDram,
-        icache: StampCache,
-    }
-
-    impl BaselineState {
-        pub(super) fn new(cfg: &MachineConfig, predictor: PredictorKind) -> Self {
-            BaselineState {
-                predictor: predictor.build(),
-                dtlb: StampCache::new(CacheConfig {
-                    size_bytes: cfg.dtlb_entries * 4096,
-                    line_bytes: 4096,
-                    ways: 4,
-                }),
-                l1d: StampCache::new(cfg.l1d),
-                l2: StampCache::new(cfg.l2),
-                l3: StampCache::new(cfg.l3),
-                dram: StampDram::new(cfg.dram),
-                icache: StampCache::new(cfg.icache),
-            }
-        }
-
-        pub(super) fn replay(
-            &mut self,
-            cfg: &MachineConfig,
-            profile: &Profile,
-            events: &[Event],
-            fn_base: &[u64],
-        ) -> ReplayCounts {
-            let line = self.icache.line_bytes;
-            let mut counts = ReplayCounts::default();
-            for event in events {
-                match *event {
-                    Event::Branch { site, taken } => {
-                        counts.branches += 1;
-                        if !self.predictor.observe(site, taken) {
-                            counts.mispredicts += 1;
-                        }
-                    }
-                    Event::Load { addr } | Event::Store { addr } => {
-                        counts.mem += 1;
-                        let tlb_hit = self.dtlb.access(addr);
-                        if !self.l1d.access(addr) {
-                            if self.l2.access(addr) {
-                                counts.l2_hits += 1;
-                            } else if self.l3.access(addr) {
-                                counts.l3_hits += 1;
-                            } else {
-                                counts.dram_accesses += 1;
-                                counts.row_hits += u64::from(self.dram.access(addr));
-                            }
-                        }
-                        counts.tlb_misses += u64::from(!tlb_hit);
-                    }
-                    Event::Call { callee } => {
-                        counts.calls += 1;
-                        let base = fn_base[callee.0 as usize];
-                        let len = (profile.functions[callee.0 as usize].code_bytes as u64)
-                            .min(cfg.fetch_probe_bytes)
-                            .max(1);
-                        let mut offset = 0;
-                        while offset < len {
-                            counts.fetch_probes += 1;
-                            if !self.icache.access(base + offset) {
-                                counts.icache_misses += 1;
-                            }
-                            offset += line;
-                        }
-                    }
-                    Event::Return => {}
-                }
-            }
-            counts
-        }
-    }
-}
-
 /// One engine-vs-engine measurement, ready to serialize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedReport {
@@ -281,11 +104,6 @@ pub struct SpeedReport {
     pub replay_events_per_sec: u64,
     /// Live scalar shadow engine ([`ReplayState::replay`]) throughput.
     pub scalar_events_per_sec: u64,
-    /// Pre-rewrite engine throughput (frozen stamp-LRU + per-event
-    /// dispatch replica).
-    pub baseline_events_per_sec: u64,
-    /// `replay / baseline` — what the rewrite bought end to end.
-    pub speedup_vs_baseline: f64,
     /// `replay / scalar` — batching alone, on today's shared substrate.
     pub speedup_vs_scalar: f64,
 }
@@ -294,42 +112,22 @@ impl SpeedReport {
     /// Canonical JSON rendering (same layer as the suite reports).
     pub fn to_json(&self) -> String {
         let round2 = |x: f64| (x * 100.0).round() / 100.0;
-        Value::Object(vec![
-            (
-                "schema_version".to_owned(),
-                Value::UInt(SPEED_SCHEMA_VERSION),
-            ),
-            ("events".to_owned(), Value::UInt(self.events)),
-            ("reps".to_owned(), Value::UInt(self.reps as u64)),
-            (
-                "replay_events_per_sec".to_owned(),
-                Value::UInt(self.replay_events_per_sec),
-            ),
-            (
-                "scalar_events_per_sec".to_owned(),
-                Value::UInt(self.scalar_events_per_sec),
-            ),
-            (
-                "baseline_events_per_sec".to_owned(),
-                Value::UInt(self.baseline_events_per_sec),
-            ),
-            (
-                "speedup_vs_baseline".to_owned(),
-                Value::Float(round2(self.speedup_vs_baseline)),
-            ),
-            (
-                "speedup_vs_scalar".to_owned(),
-                Value::Float(round2(self.speedup_vs_scalar)),
-            ),
-        ])
-        .render()
+        Fields::new()
+            .put("schema_version", &SPEED_SCHEMA_VERSION)
+            .put("events", &self.events)
+            .put("reps", &self.reps)
+            .put("replay_events_per_sec", &self.replay_events_per_sec)
+            .put("scalar_events_per_sec", &self.scalar_events_per_sec)
+            .put("speedup_vs_scalar", &round2(self.speedup_vs_scalar))
+            .build()
+            .render()
     }
 }
 
-/// Measures all three replay engines over `reps` fresh-state replays of
-/// a `target_events`-event synthetic trace.
+/// Measures both replay engines over `reps` fresh-state replays of a
+/// `target_events`-event synthetic trace.
 ///
-/// Panics if any engine disagrees on any [`ReplayCounts`] field — the
+/// Panics if the engines disagree on any [`ReplayCounts`] field — the
 /// speed figures are meaningless unless the engines are equivalent.
 pub fn measure(target_events: usize, reps: u32) -> SpeedReport {
     let profile = synthetic_profile(target_events);
@@ -340,10 +138,6 @@ pub fn measure(target_events: usize, reps: u32) -> SpeedReport {
     let probe_counts = model.probe_table(&profile);
     let events = profile.trace.events();
 
-    let baseline_run = || {
-        let mut state = baseline::BaselineState::new(&cfg, predictor);
-        state.replay(&cfg, &profile, events, &fn_base)
-    };
     let scalar_run = || {
         let mut state = ReplayState::new(&cfg, predictor);
         state.replay(&cfg, &profile, events, &fn_base)
@@ -359,13 +153,8 @@ pub fn measure(target_events: usize, reps: u32) -> SpeedReport {
     };
 
     // Correctness first: identical counts or no speed figure at all.
-    let baseline_counts = baseline_run();
     let scalar_counts = scalar_run();
     let batched_counts = batched_run();
-    assert_eq!(
-        scalar_counts, baseline_counts,
-        "scalar shadow engine diverged from the pre-rewrite baseline"
-    );
     assert_eq!(
         scalar_counts, batched_counts,
         "batched replay diverged from the scalar reference engine"
@@ -381,7 +170,6 @@ pub fn measure(target_events: usize, reps: u32) -> SpeedReport {
     // Warm each path once (counted above), then time.
     let replayed = scalar_counts.events() * reps as u64;
     let per_sec = |secs: f64| (replayed as f64 / secs.max(f64::EPSILON)) as u64;
-    let baseline_events_per_sec = per_sec(time(&baseline_run));
     let scalar_events_per_sec = per_sec(time(&scalar_run));
     let replay_events_per_sec = per_sec(time(&batched_run));
     SpeedReport {
@@ -389,8 +177,6 @@ pub fn measure(target_events: usize, reps: u32) -> SpeedReport {
         reps,
         replay_events_per_sec,
         scalar_events_per_sec,
-        baseline_events_per_sec,
-        speedup_vs_baseline: replay_events_per_sec as f64 / baseline_events_per_sec.max(1) as f64,
         speedup_vs_scalar: replay_events_per_sec as f64 / scalar_events_per_sec.max(1) as f64,
     }
 }
@@ -411,12 +197,12 @@ mod tests {
     fn measure_reports_equivalent_engines() {
         let report = measure(20_000, 2);
         assert!(report.events > 0);
-        assert!(report.baseline_events_per_sec > 0);
         assert!(report.scalar_events_per_sec > 0);
         assert!(report.replay_events_per_sec > 0);
         let json = report.to_json();
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("replay_events_per_sec"));
-        assert!(json.contains("speedup_vs_baseline"));
+        assert!(json.contains("speedup_vs_scalar"));
+        assert!(!json.contains("baseline"));
     }
 }

@@ -6,6 +6,7 @@
 //! statistics into the Table II quantities `μg`, `σg`, `μg(V)`, `μg(M)`.
 
 use crate::exec::{run_indexed, ExecPolicy};
+use crate::json_codec;
 use crate::sampling::{
     detail_config, pilot_config, PhaseSampling, SamplePlan, SamplingPolicy, SamplingStats,
 };
@@ -432,6 +433,16 @@ pub fn characterize_benchmark_sampled(
     Ok(summarize(benchmark.name(), benchmark.short_name(), runs)
         .expect("benchmarks have at least one workload"))
 }
+
+json_codec!(WorkloadRun {
+    workload,
+    report,
+    coverage,
+    paths,
+    work,
+    checksum,
+    sampling
+});
 
 #[cfg(test)]
 mod tests {

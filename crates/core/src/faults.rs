@@ -40,6 +40,9 @@
 
 use alberta_profile::ProfilerFault;
 
+use crate::json::{req, unknown_tag, DecodeError, Fields, FromJson, ToJson, Value};
+use crate::json_codec;
+
 /// How a targeted run is sabotaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -182,6 +185,61 @@ impl FaultPlan {
         }
     }
 }
+
+impl ToJson for FaultKind {
+    fn to_value(&self) -> Value {
+        let kind = |tag: &str| Fields::new().put("kind", tag);
+        match *self {
+            FaultKind::MalformedWorkload => kind("malformed_workload"),
+            FaultKind::PanicAtEvent(at) => kind("panic_at_event").put("at", &at),
+            FaultKind::ExhaustBudget { budget } => kind("exhaust_budget").put("budget", &budget),
+            FaultKind::CorruptEvents { at } => kind("corrupt_events").put("at", &at),
+            FaultKind::WorkerCrash { attempts, clean } => kind("worker_crash")
+                .put("attempts", &attempts)
+                .put("clean", &clean),
+            FaultKind::WorkerHang { attempts } => kind("worker_hang").put("attempts", &attempts),
+            FaultKind::ResultCorrupt { attempts } => {
+                kind("result_corrupt").put("attempts", &attempts)
+            }
+        }
+        .build()
+    }
+}
+
+impl FromJson for FaultKind {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        let attempts = || req(value, "attempts");
+        Ok(match req::<String>(value, "kind")?.as_str() {
+            "malformed_workload" => FaultKind::MalformedWorkload,
+            "panic_at_event" => FaultKind::PanicAtEvent(req(value, "at")?),
+            "exhaust_budget" => FaultKind::ExhaustBudget {
+                budget: req(value, "budget")?,
+            },
+            "corrupt_events" => FaultKind::CorruptEvents {
+                at: req(value, "at")?,
+            },
+            "worker_crash" => FaultKind::WorkerCrash {
+                attempts: attempts()?,
+                clean: req(value, "clean")?,
+            },
+            "worker_hang" => FaultKind::WorkerHang {
+                attempts: attempts()?,
+            },
+            "result_corrupt" => FaultKind::ResultCorrupt {
+                attempts: attempts()?,
+            },
+            other => return Err(unknown_tag("kind", other)),
+        })
+    }
+}
+
+json_codec!(Fault {
+    benchmark,
+    workload,
+    kind
+});
+
+json_codec!(FaultPlan { seed, faults });
 
 #[cfg(test)]
 mod tests {

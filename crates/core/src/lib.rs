@@ -33,6 +33,7 @@
 //! ```
 
 pub mod characterize;
+mod codec;
 pub mod exec;
 pub mod faults;
 pub mod figures;

@@ -25,6 +25,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
+
+use crate::json::{req, DecodeError, Fields, FromJson, ToJson, Value};
 
 /// Severity of a [`LogRecord`], ordered from most to least severe.
 /// A level also acts as a filter: `Warn` keeps `Error` and `Warn`.
@@ -280,6 +283,46 @@ macro_rules! log_debug {
     ($target:expr, $($arg:tt)+) => {
         $crate::log::emit($crate::log::LogLevel::Debug, $target, || format!($($arg)+))
     };
+}
+
+impl ToJson for LogRecord {
+    fn to_value(&self) -> Value {
+        Fields::new()
+            .put("level", &self.level.to_string())
+            .put("target", self.target)
+            .put("message", &self.message)
+            .build()
+    }
+}
+
+impl FromJson for LogRecord {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        Ok(LogRecord {
+            level: LogLevel::parse(&req::<String>(value, "level")?)
+                .map_err(|e| DecodeError::new(e).within("level"))?,
+            target: intern_target(&req::<String>(value, "target")?),
+            message: req(value, "message")?,
+        })
+    }
+}
+
+/// Interns a log-target name back to `&'static str`. Known targets map
+/// to their static literals; novel ones are leaked once into a global
+/// cache — the set of targets is a small fixed vocabulary, so the leak
+/// is bounded.
+pub(crate) fn intern_target(name: &str) -> &'static str {
+    const KNOWN: [&str; 4] = ["run", "suite", "supervisor", "worker"];
+    if let Some(known) = KNOWN.iter().find(|k| **k == name) {
+        return known;
+    }
+    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(hit) = cache.iter().find(|t| **t == name) {
+        return hit;
+    }
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+    cache.push(leaked);
+    leaked
 }
 
 #[cfg(test)]

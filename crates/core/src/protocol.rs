@@ -25,29 +25,21 @@
 //! rendering byte for byte.
 
 use crate::characterize::{RunStatus, WorkloadRun};
-use crate::faults::{FaultKind, FaultPlan};
-use crate::json::{self, Value};
-use crate::log::{LogLevel, LogRecord};
-use crate::sampling::{PhaseSampling, SamplingPolicy, SamplingStats};
+use crate::faults::FaultPlan;
+use crate::json::{self, req, unknown_tag, DecodeError, Fields, FromJson, ToJson, Value};
+use crate::json_codec;
+use crate::log::LogRecord;
+use crate::sampling::SamplingPolicy;
 use alberta_benchmarks::BenchError;
-use alberta_profile::{PathRow, PathTable, ProfilerFault, SampleConfig};
-use alberta_stats::variation::TopDownRatios;
-use alberta_uarch::{
-    CacheConfig, DramConfig, MachineConfig, MemoryProfile, MpkiPoint, PredictorKind, TopDownReport,
-};
+use alberta_profile::SampleConfig;
+use alberta_uarch::{MachineConfig, PredictorKind};
 use alberta_workloads::Scale;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Protocol revision. A worker whose `hello` declares a different
 /// revision is killed — supervisor and worker are always the same
 /// binary, so a mismatch means the pipe is not speaking to a worker at
 /// all.
 pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Decode failures are plain text: the supervisor's only reaction is to
-/// log the text, kill the worker, and redispatch its task.
-pub type DecodeError = String;
 
 /// How the worker executes its tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,869 +222,208 @@ pub enum WorkerMsg {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Codec
 // ---------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-fn s(text: &str) -> Value {
-    Value::Str(text.to_owned())
-}
-
-fn opt_u64(v: Option<u64>) -> Value {
-    v.map(Value::UInt).unwrap_or(Value::Null)
-}
-
-/// The canonical wire name of a scale (`test`, `train`, `ref`).
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
+impl ToJson for WorkerMode {
+    fn to_value(&self) -> Value {
+        match self {
+            WorkerMode::Strict => "strict",
+            WorkerMode::Resilient => "resilient",
+        }
+        .to_value()
     }
 }
 
-/// A scale as a canonical-JSON string value.
-pub fn scale_value(scale: Scale) -> Value {
-    s(scale_name(scale))
-}
-
-fn profiler_fault_value(fault: ProfilerFault) -> Value {
-    match fault {
-        ProfilerFault::PanicAtEvent(at) => {
-            obj(vec![("kind", s("panic_at_event")), ("at", Value::UInt(at))])
-        }
-        ProfilerFault::CorruptEvents { at } => {
-            obj(vec![("kind", s("corrupt_events")), ("at", Value::UInt(at))])
+impl FromJson for WorkerMode {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match String::from_value(value)?.as_str() {
+            "strict" => Ok(WorkerMode::Strict),
+            "resilient" => Ok(WorkerMode::Resilient),
+            other => Err(DecodeError::new(format!("unknown worker mode {other:?}"))),
         }
     }
 }
 
-fn sample_config_value(c: &SampleConfig) -> Value {
-    obj(vec![
-        ("branch_interval", Value::UInt(c.branch_interval.into())),
-        ("mem_interval", Value::UInt(c.mem_interval.into())),
-        ("call_interval", Value::UInt(c.call_interval.into())),
-        ("trace_capacity", Value::UInt(c.trace_capacity as u64)),
-        ("work_budget", opt_u64(c.work_budget)),
-        ("interval_work", opt_u64(c.interval_work)),
-        (
-            "fault",
-            c.fault.map(profiler_fault_value).unwrap_or(Value::Null),
-        ),
-    ])
-}
+json_codec!(WorkerConfig {
+    mode,
+    scale,
+    sampling,
+    policy,
+    machine,
+    predictor,
+    faults,
+    deadline_work,
+    beat_ms
+});
 
-/// A sampling policy as its canonical wire object. Shared by the worker
-/// pipe protocol and the characterization-service request codec (where
-/// it also enters the content-addressed cache key).
-pub fn sampling_policy_value(p: &SamplingPolicy) -> Value {
-    match p {
-        SamplingPolicy::Full => obj(vec![("kind", s("full"))]),
-        SamplingPolicy::Phase(phase) => obj(vec![
-            ("kind", s("phase")),
-            ("interval_work", Value::UInt(phase.interval_work)),
-            ("k", Value::UInt(phase.k as u64)),
-            ("seed", Value::UInt(phase.seed)),
-        ]),
-    }
-}
+json_codec!(TaskMsg {
+    id,
+    benchmark,
+    workload,
+    attempt,
+    #[omit_none]
+    request
+});
 
-fn cache_config_value(c: &CacheConfig) -> Value {
-    obj(vec![
-        ("size_bytes", Value::UInt(c.size_bytes)),
-        ("line_bytes", Value::UInt(c.line_bytes)),
-        ("ways", Value::UInt(c.ways)),
-    ])
-}
+json_codec!(TaskResult {
+    id,
+    status,
+    run,
+    retries,
+    budget_consumed,
+    logs,
+    #[omit_none]
+    request
+});
 
-/// A machine model configuration as its canonical wire object. Field
-/// order is fixed, so the rendering is stable enough to hash.
-pub fn machine_value(m: &MachineConfig) -> Value {
-    obj(vec![
-        ("issue_width", Value::Float(m.issue_width)),
-        ("mispredict_penalty", Value::Float(m.mispredict_penalty)),
-        ("l2_latency", Value::Float(m.l2_latency)),
-        ("l3_latency", Value::Float(m.l3_latency)),
-        ("memory_latency", Value::Float(m.memory_latency)),
-        ("tlb_penalty", Value::Float(m.tlb_penalty)),
-        ("icache_penalty", Value::Float(m.icache_penalty)),
-        ("memory_parallelism", Value::Float(m.memory_parallelism)),
-        ("uops_per_unit", Value::Float(m.uops_per_unit)),
-        ("taken_branch_bubble", Value::Float(m.taken_branch_bubble)),
-        ("baseline_frontend", Value::Float(m.baseline_frontend)),
-        ("baseline_badspec", Value::Float(m.baseline_badspec)),
-        ("baseline_backend", Value::Float(m.baseline_backend)),
-        ("icache", cache_config_value(&m.icache)),
-        ("l1d", cache_config_value(&m.l1d)),
-        ("l2", cache_config_value(&m.l2)),
-        ("l3", cache_config_value(&m.l3)),
-        ("dtlb_entries", Value::UInt(m.dtlb_entries)),
-        ("dram", dram_config_value(&m.dram)),
-        ("fetch_probe_bytes", Value::UInt(m.fetch_probe_bytes)),
-    ])
-}
-
-fn dram_config_value(d: &DramConfig) -> Value {
-    obj(vec![
-        ("banks", Value::UInt(d.banks)),
-        ("row_bytes", Value::UInt(d.row_bytes)),
-        ("line_bytes", Value::UInt(d.line_bytes)),
-    ])
-}
-
-/// A branch-predictor kind as its canonical wire object.
-pub fn predictor_value(p: PredictorKind) -> Value {
-    match p {
-        PredictorKind::StaticTaken => obj(vec![("kind", s("static-taken"))]),
-        PredictorKind::Bimodal { bits } => obj(vec![
-            ("kind", s("bimodal")),
-            ("bits", Value::UInt(bits.into())),
-        ]),
-        PredictorKind::Gshare { bits } => obj(vec![
-            ("kind", s("gshare")),
-            ("bits", Value::UInt(bits.into())),
-        ]),
-        PredictorKind::Tournament { bits } => obj(vec![
-            ("kind", s("tournament")),
-            ("bits", Value::UInt(bits.into())),
-        ]),
-    }
-}
-
-fn fault_kind_value(kind: FaultKind) -> Value {
-    match kind {
-        FaultKind::MalformedWorkload => obj(vec![("kind", s("malformed_workload"))]),
-        FaultKind::PanicAtEvent(at) => {
-            obj(vec![("kind", s("panic_at_event")), ("at", Value::UInt(at))])
+impl ToJson for RemoteStatus {
+    fn to_value(&self) -> Value {
+        match self {
+            RemoteStatus::Ok => Fields::new().put("kind", "ok"),
+            RemoteStatus::Degraded {
+                error,
+                retryable,
+                retried_at,
+            } => Fields::new()
+                .put("kind", "degraded")
+                .put("error", error)
+                .put("retryable", retryable)
+                .put("retried_at", retried_at),
+            RemoteStatus::Failed { error, retryable } => Fields::new()
+                .put("kind", "failed")
+                .put("error", error)
+                .put("retryable", retryable),
         }
-        FaultKind::ExhaustBudget { budget } => obj(vec![
-            ("kind", s("exhaust_budget")),
-            ("budget", Value::UInt(budget)),
-        ]),
-        FaultKind::CorruptEvents { at } => {
-            obj(vec![("kind", s("corrupt_events")), ("at", Value::UInt(at))])
+        .build()
+    }
+}
+
+impl FromJson for RemoteStatus {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "kind")?.as_str() {
+            "ok" => Ok(RemoteStatus::Ok),
+            "degraded" => Ok(RemoteStatus::Degraded {
+                error: req(value, "error")?,
+                retryable: req(value, "retryable")?,
+                retried_at: req(value, "retried_at")?,
+            }),
+            "failed" => Ok(RemoteStatus::Failed {
+                error: req(value, "error")?,
+                retryable: req(value, "retryable")?,
+            }),
+            other => Err(unknown_tag("kind", other)),
         }
-        FaultKind::WorkerCrash { attempts, clean } => obj(vec![
-            ("kind", s("worker_crash")),
-            ("attempts", Value::UInt(attempts.into())),
-            ("clean", Value::Bool(clean)),
-        ]),
-        FaultKind::WorkerHang { attempts } => obj(vec![
-            ("kind", s("worker_hang")),
-            ("attempts", Value::UInt(attempts.into())),
-        ]),
-        FaultKind::ResultCorrupt { attempts } => obj(vec![
-            ("kind", s("result_corrupt")),
-            ("attempts", Value::UInt(attempts.into())),
-        ]),
     }
 }
 
-fn fault_plan_value(plan: &FaultPlan) -> Value {
-    let faults = plan
-        .faults()
-        .iter()
-        .map(|f| {
-            obj(vec![
-                ("benchmark", s(&f.benchmark)),
-                ("workload", s(&f.workload)),
-                ("kind", fault_kind_value(f.kind)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("seed", Value::UInt(plan.seed())),
-        ("faults", Value::Array(faults)),
-    ])
-}
-
-fn report_value(r: &TopDownReport) -> Value {
-    obj(vec![
-        ("front_end", Value::Float(r.ratios.front_end)),
-        ("back_end", Value::Float(r.ratios.back_end)),
-        ("bad_speculation", Value::Float(r.ratios.bad_speculation)),
-        ("retiring", Value::Float(r.ratios.retiring)),
-        ("cycles", Value::Float(r.cycles)),
-        ("retired_ops", Value::UInt(r.retired_ops)),
-        ("ipc", Value::Float(r.ipc)),
-        ("mispredict_rate", Value::Float(r.mispredict_rate)),
-        ("mispredicts_per_kops", Value::Float(r.mispredicts_per_kops)),
-        ("l1d_miss_ratio", Value::Float(r.l1d_miss_ratio)),
-        ("l2_miss_ratio", Value::Float(r.l2_miss_ratio)),
-        ("l3_miss_ratio", Value::Float(r.l3_miss_ratio)),
-        ("dtlb_miss_ratio", Value::Float(r.dtlb_miss_ratio)),
-        ("icache_miss_ratio", Value::Float(r.icache_miss_ratio)),
-        ("predictor", s(r.predictor)),
-        ("memory", memory_profile_value(&r.memory)),
-    ])
-}
-
-fn memory_profile_value(m: &MemoryProfile) -> Value {
-    let curve = m
-        .mpki_curve
-        .iter()
-        .map(|p| {
-            obj(vec![
-                ("size_bytes", Value::UInt(p.size_bytes)),
-                ("mpki", Value::Float(p.mpki)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("l1_mpki", Value::Float(m.l1_mpki)),
-        ("l2_mpki", Value::Float(m.l2_mpki)),
-        ("l3_mpki", Value::Float(m.l3_mpki)),
-        ("row_hit_rate", Value::Float(m.row_hit_rate)),
-        ("dram_bytes", Value::Float(m.dram_bytes)),
-        ("footprint_lines", Value::UInt(m.footprint_lines)),
-        ("footprint_pages", Value::UInt(m.footprint_pages)),
-        ("mpki_curve", Value::Array(curve)),
-    ])
-}
-
-fn sampling_stats_value(st: &SamplingStats) -> Value {
-    obj(vec![
-        ("interval_work", Value::UInt(st.interval_work)),
-        ("intervals", Value::UInt(st.intervals as u64)),
-        ("clusters", Value::UInt(st.clusters as u64)),
-        ("detailed_ops", Value::UInt(st.detailed_ops)),
-        ("total_ops", Value::UInt(st.total_ops)),
-    ])
-}
-
-/// A workload run's measurements as their canonical wire object. The
-/// codec is lossless (see the module docs), so a run decoded from this
-/// form summarizes bit-identically to the in-process original.
-pub fn run_value(run: &WorkloadRun) -> Value {
-    let coverage = run
-        .coverage
-        .iter()
-        .map(|(name, pct)| (name.clone(), Value::Float(*pct)))
-        .collect();
-    let paths = run
-        .paths
-        .rows()
-        .iter()
-        .map(|row| {
-            Value::Array(vec![
-                s(&row.path),
-                Value::UInt(row.calls),
-                Value::UInt(row.exclusive),
-                Value::UInt(row.inclusive),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("workload", s(&run.workload)),
-        ("report", report_value(&run.report)),
-        ("coverage", Value::Object(coverage)),
-        ("paths", Value::Array(paths)),
-        ("work", Value::UInt(run.work)),
-        ("checksum", Value::UInt(run.checksum)),
-        (
-            "sampling",
-            run.sampling
-                .as_ref()
-                .map(sampling_stats_value)
-                .unwrap_or(Value::Null),
-        ),
-    ])
-}
-
-/// A remote run status as its canonical wire object.
-pub fn status_value(status: &RemoteStatus) -> Value {
-    match status {
-        RemoteStatus::Ok => obj(vec![("kind", s("ok"))]),
-        RemoteStatus::Degraded {
-            error,
-            retryable,
-            retried_at,
-        } => obj(vec![
-            ("kind", s("degraded")),
-            ("error", s(error)),
-            ("retryable", Value::Bool(*retryable)),
-            ("retried_at", scale_value(*retried_at)),
-        ]),
-        RemoteStatus::Failed { error, retryable } => obj(vec![
-            ("kind", s("failed")),
-            ("error", s(error)),
-            ("retryable", Value::Bool(*retryable)),
-        ]),
+impl ToJson for SupervisorMsg {
+    fn to_value(&self) -> Value {
+        match self {
+            SupervisorMsg::Config(config) => Fields::new()
+                .put("type", "config")
+                .put("protocol", &PROTOCOL_VERSION)
+                .put_all(config.as_ref()),
+            SupervisorMsg::Task(task) => Fields::new().put("type", "task").put_all(task),
+            SupervisorMsg::Shutdown => Fields::new().put("type", "shutdown"),
+        }
+        .build()
     }
 }
 
-fn log_record_value(record: &LogRecord) -> Value {
-    obj(vec![
-        ("level", s(&record.level.to_string())),
-        ("target", s(record.target)),
-        ("message", s(&record.message)),
-    ])
+impl FromJson for SupervisorMsg {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "type")?.as_str() {
+            "config" => {
+                let protocol: u64 = req(value, "protocol")?;
+                if protocol != PROTOCOL_VERSION {
+                    return Err(DecodeError::new(format!(
+                        "protocol mismatch: worker speaks {PROTOCOL_VERSION}, \
+                         supervisor sent {protocol}"
+                    )));
+                }
+                Ok(SupervisorMsg::Config(Box::new(WorkerConfig::from_value(
+                    value,
+                )?)))
+            }
+            "task" => Ok(SupervisorMsg::Task(TaskMsg::from_value(value)?)),
+            "shutdown" => Ok(SupervisorMsg::Shutdown),
+            other => Err(unknown_tag("type", other)),
+        }
+    }
+}
+
+impl ToJson for WorkerMsg {
+    fn to_value(&self) -> Value {
+        match self {
+            WorkerMsg::Hello { protocol } => {
+                Fields::new().put("type", "hello").put("protocol", protocol)
+            }
+            WorkerMsg::Beat { id } => Fields::new().put("type", "beat").put("id", id),
+            WorkerMsg::Result(result) => {
+                Fields::new().put("type", "result").put_all(result.as_ref())
+            }
+        }
+        .build()
+    }
+}
+
+impl FromJson for WorkerMsg {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "type")?.as_str() {
+            "hello" => Ok(WorkerMsg::Hello {
+                protocol: req(value, "protocol")?,
+            }),
+            "beat" => Ok(WorkerMsg::Beat {
+                id: req(value, "id")?,
+            }),
+            "result" => Ok(WorkerMsg::Result(Box::new(TaskResult::from_value(value)?))),
+            other => Err(unknown_tag("type", other)),
+        }
+    }
 }
 
 impl SupervisorMsg {
     /// Renders the message as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let value = match self {
-            SupervisorMsg::Config(c) => obj(vec![
-                ("type", s("config")),
-                ("protocol", Value::UInt(PROTOCOL_VERSION)),
-                (
-                    "mode",
-                    s(match c.mode {
-                        WorkerMode::Strict => "strict",
-                        WorkerMode::Resilient => "resilient",
-                    }),
-                ),
-                ("scale", scale_value(c.scale)),
-                ("sampling", sample_config_value(&c.sampling)),
-                ("policy", sampling_policy_value(&c.policy)),
-                ("machine", machine_value(&c.machine)),
-                ("predictor", predictor_value(c.predictor)),
-                ("faults", fault_plan_value(&c.faults)),
-                ("deadline_work", opt_u64(c.deadline_work)),
-                ("beat_ms", Value::UInt(c.beat_ms)),
-            ]),
-            SupervisorMsg::Task(t) => {
-                let mut fields = vec![
-                    ("type", s("task")),
-                    ("id", Value::UInt(t.id)),
-                    ("benchmark", s(&t.benchmark)),
-                    ("workload", s(&t.workload)),
-                    ("attempt", Value::UInt(t.attempt.into())),
-                ];
-                if let Some(request) = &t.request {
-                    fields.push(("request", s(request)));
-                }
-                obj(fields)
-            }
-            SupervisorMsg::Shutdown => obj(vec![("type", s("shutdown"))]),
-        };
-        value.render_compact()
+        self.to_value().render_compact()
     }
 
     /// Parses one protocol line.
     ///
     /// # Errors
     ///
-    /// A description of the first structural problem.
+    /// The first structural problem, with its path.
     pub fn decode(line: &str) -> Result<SupervisorMsg, DecodeError> {
-        let value = json::parse(line).map_err(|e| e.to_string())?;
-        match req_str(&value, "type")? {
-            "config" => {
-                let protocol = req_u64(&value, "protocol")?;
-                if protocol != PROTOCOL_VERSION {
-                    return Err(format!(
-                        "protocol mismatch: worker speaks {PROTOCOL_VERSION}, \
-                         supervisor sent {protocol}"
-                    ));
-                }
-                Ok(SupervisorMsg::Config(Box::new(decode_config(&value)?)))
-            }
-            "task" => Ok(SupervisorMsg::Task(TaskMsg {
-                id: req_u64(&value, "id")?,
-                benchmark: req_str(&value, "benchmark")?.to_owned(),
-                workload: req_str(&value, "workload")?.to_owned(),
-                attempt: req_u32(&value, "attempt")?,
-                request: opt_str_field(&value, "request")?,
-            })),
-            "shutdown" => Ok(SupervisorMsg::Shutdown),
-            other => Err(format!("unknown supervisor message type {other:?}")),
-        }
+        json::decode(line)
     }
 }
 
 impl WorkerMsg {
     /// Renders the message as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let value = match self {
-            WorkerMsg::Hello { protocol } => obj(vec![
-                ("type", s("hello")),
-                ("protocol", Value::UInt(*protocol)),
-            ]),
-            WorkerMsg::Beat { id } => obj(vec![("type", s("beat")), ("id", Value::UInt(*id))]),
-            WorkerMsg::Result(r) => {
-                let mut fields = vec![
-                    ("type", s("result")),
-                    ("id", Value::UInt(r.id)),
-                    ("status", status_value(&r.status)),
-                    ("run", r.run.as_ref().map(run_value).unwrap_or(Value::Null)),
-                    ("retries", Value::UInt(r.retries.into())),
-                    ("budget_consumed", Value::UInt(r.budget_consumed)),
-                    (
-                        "logs",
-                        Value::Array(r.logs.iter().map(log_record_value).collect()),
-                    ),
-                ];
-                if let Some(request) = &r.request {
-                    fields.push(("request", s(request)));
-                }
-                obj(fields)
-            }
-        };
-        value.render_compact()
+        self.to_value().render_compact()
     }
 
     /// Parses one protocol line.
     ///
     /// # Errors
     ///
-    /// A description of the first structural problem.
+    /// The first structural problem, with its path.
     pub fn decode(line: &str) -> Result<WorkerMsg, DecodeError> {
-        let value = json::parse(line).map_err(|e| e.to_string())?;
-        match req_str(&value, "type")? {
-            "hello" => Ok(WorkerMsg::Hello {
-                protocol: req_u64(&value, "protocol")?,
-            }),
-            "beat" => Ok(WorkerMsg::Beat {
-                id: req_u64(&value, "id")?,
-            }),
-            "result" => Ok(WorkerMsg::Result(Box::new(TaskResult {
-                id: req_u64(&value, "id")?,
-                status: decode_status(req_field(&value, "status")?)?,
-                run: match req_field(&value, "run")? {
-                    Value::Null => None,
-                    v => Some(decode_run(v)?),
-                },
-                retries: req_u32(&value, "retries")?,
-                budget_consumed: req_u64(&value, "budget_consumed")?,
-                logs: req_field(&value, "logs")?
-                    .as_array()
-                    .ok_or("logs must be an array")?
-                    .iter()
-                    .map(decode_log_record)
-                    .collect::<Result<_, _>>()?,
-                request: opt_str_field(&value, "request")?,
-            }))),
-            other => Err(format!("unknown worker message type {other:?}")),
-        }
+        json::decode(line)
     }
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-fn req_field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, DecodeError> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, DecodeError> {
-    req_field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} must be a string"))
-}
-
-fn opt_str_field(value: &Value, key: &str) -> Result<Option<String>, DecodeError> {
-    match value.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_owned()))
-            .ok_or_else(|| format!("field {key:?} must be a string")),
-    }
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, DecodeError> {
-    req_field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} must be an unsigned integer"))
-}
-
-fn req_u32(value: &Value, key: &str) -> Result<u32, DecodeError> {
-    u32::try_from(req_u64(value, key)?).map_err(|_| format!("field {key:?} exceeds u32"))
-}
-
-fn req_usize(value: &Value, key: &str) -> Result<usize, DecodeError> {
-    usize::try_from(req_u64(value, key)?).map_err(|_| format!("field {key:?} exceeds usize"))
-}
-
-fn req_f64(value: &Value, key: &str) -> Result<f64, DecodeError> {
-    req_field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} must be a number"))
-}
-
-fn req_bool(value: &Value, key: &str) -> Result<bool, DecodeError> {
-    match req_field(value, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("field {key:?} must be a boolean")),
-    }
-}
-
-fn opt_u64_field(value: &Value, key: &str) -> Result<Option<u64>, DecodeError> {
-    match req_field(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be null or an unsigned integer")),
-    }
-}
-
-/// Parses a canonical scale name.
-///
-/// # Errors
-///
-/// An unknown name is described in the returned text.
-pub fn decode_scale(name: &str) -> Result<Scale, DecodeError> {
-    match name {
-        "test" => Ok(Scale::Test),
-        "train" => Ok(Scale::Train),
-        "ref" => Ok(Scale::Ref),
-        other => Err(format!("unknown scale {other:?}")),
-    }
-}
-
-fn decode_profiler_fault(value: &Value) -> Result<ProfilerFault, DecodeError> {
-    match req_str(value, "kind")? {
-        "panic_at_event" => Ok(ProfilerFault::PanicAtEvent(req_u64(value, "at")?)),
-        "corrupt_events" => Ok(ProfilerFault::CorruptEvents {
-            at: req_u64(value, "at")?,
-        }),
-        other => Err(format!("unknown profiler fault kind {other:?}")),
-    }
-}
-
-fn decode_sample_config(value: &Value) -> Result<SampleConfig, DecodeError> {
-    let mut config = SampleConfig {
-        branch_interval: req_u32(value, "branch_interval")?,
-        mem_interval: req_u32(value, "mem_interval")?,
-        call_interval: req_u32(value, "call_interval")?,
-        trace_capacity: req_usize(value, "trace_capacity")?,
-        work_budget: opt_u64_field(value, "work_budget")?,
-        interval_work: opt_u64_field(value, "interval_work")?,
-        fault: None,
-    };
-    if let Some(fault) = match req_field(value, "fault")? {
-        Value::Null => None,
-        v => Some(decode_profiler_fault(v)?),
-    } {
-        config.fault = Some(fault);
-    }
-    Ok(config)
-}
-
-/// Parses a sampling policy from its canonical wire object.
-///
-/// # Errors
-///
-/// The first structural problem, as text.
-pub fn decode_sampling_policy(value: &Value) -> Result<SamplingPolicy, DecodeError> {
-    match req_str(value, "kind")? {
-        "full" => Ok(SamplingPolicy::Full),
-        "phase" => Ok(SamplingPolicy::Phase(PhaseSampling {
-            interval_work: req_u64(value, "interval_work")?,
-            k: req_usize(value, "k")?,
-            seed: req_u64(value, "seed")?,
-        })),
-        other => Err(format!("unknown sampling policy {other:?}")),
-    }
-}
-
-fn decode_cache_config(value: &Value) -> Result<CacheConfig, DecodeError> {
-    Ok(CacheConfig {
-        size_bytes: req_u64(value, "size_bytes")?,
-        line_bytes: req_u64(value, "line_bytes")?,
-        ways: req_u64(value, "ways")?,
-    })
-}
-
-/// Parses a machine configuration from its canonical wire object.
-///
-/// # Errors
-///
-/// The first structural problem, as text.
-pub fn decode_machine(value: &Value) -> Result<MachineConfig, DecodeError> {
-    Ok(MachineConfig {
-        issue_width: req_f64(value, "issue_width")?,
-        mispredict_penalty: req_f64(value, "mispredict_penalty")?,
-        l2_latency: req_f64(value, "l2_latency")?,
-        l3_latency: req_f64(value, "l3_latency")?,
-        memory_latency: req_f64(value, "memory_latency")?,
-        tlb_penalty: req_f64(value, "tlb_penalty")?,
-        icache_penalty: req_f64(value, "icache_penalty")?,
-        memory_parallelism: req_f64(value, "memory_parallelism")?,
-        uops_per_unit: req_f64(value, "uops_per_unit")?,
-        taken_branch_bubble: req_f64(value, "taken_branch_bubble")?,
-        baseline_frontend: req_f64(value, "baseline_frontend")?,
-        baseline_badspec: req_f64(value, "baseline_badspec")?,
-        baseline_backend: req_f64(value, "baseline_backend")?,
-        icache: decode_cache_config(req_field(value, "icache")?)?,
-        l1d: decode_cache_config(req_field(value, "l1d")?)?,
-        l2: decode_cache_config(req_field(value, "l2")?)?,
-        l3: decode_cache_config(req_field(value, "l3")?)?,
-        dtlb_entries: req_u64(value, "dtlb_entries")?,
-        dram: decode_dram_config(req_field(value, "dram")?)?,
-        fetch_probe_bytes: req_u64(value, "fetch_probe_bytes")?,
-    })
-}
-
-fn decode_dram_config(value: &Value) -> Result<DramConfig, DecodeError> {
-    Ok(DramConfig {
-        banks: req_u64(value, "banks")?,
-        row_bytes: req_u64(value, "row_bytes")?,
-        line_bytes: req_u64(value, "line_bytes")?,
-    })
-}
-
-/// Parses a predictor kind from its canonical wire object.
-///
-/// # Errors
-///
-/// The first structural problem, as text.
-pub fn decode_predictor(value: &Value) -> Result<PredictorKind, DecodeError> {
-    match req_str(value, "kind")? {
-        "static-taken" => Ok(PredictorKind::StaticTaken),
-        "bimodal" => Ok(PredictorKind::Bimodal {
-            bits: req_u32(value, "bits")?,
-        }),
-        "gshare" => Ok(PredictorKind::Gshare {
-            bits: req_u32(value, "bits")?,
-        }),
-        "tournament" => Ok(PredictorKind::Tournament {
-            bits: req_u32(value, "bits")?,
-        }),
-        other => Err(format!("unknown predictor kind {other:?}")),
-    }
-}
-
-fn decode_fault_kind(value: &Value) -> Result<FaultKind, DecodeError> {
-    match req_str(value, "kind")? {
-        "malformed_workload" => Ok(FaultKind::MalformedWorkload),
-        "panic_at_event" => Ok(FaultKind::PanicAtEvent(req_u64(value, "at")?)),
-        "exhaust_budget" => Ok(FaultKind::ExhaustBudget {
-            budget: req_u64(value, "budget")?,
-        }),
-        "corrupt_events" => Ok(FaultKind::CorruptEvents {
-            at: req_u64(value, "at")?,
-        }),
-        "worker_crash" => Ok(FaultKind::WorkerCrash {
-            attempts: req_u32(value, "attempts")?,
-            clean: req_bool(value, "clean")?,
-        }),
-        "worker_hang" => Ok(FaultKind::WorkerHang {
-            attempts: req_u32(value, "attempts")?,
-        }),
-        "result_corrupt" => Ok(FaultKind::ResultCorrupt {
-            attempts: req_u32(value, "attempts")?,
-        }),
-        other => Err(format!("unknown fault kind {other:?}")),
-    }
-}
-
-fn decode_fault_plan(value: &Value) -> Result<FaultPlan, DecodeError> {
-    let mut plan = FaultPlan::new(req_u64(value, "seed")?);
-    for fault in req_field(value, "faults")?
-        .as_array()
-        .ok_or("faults must be an array")?
-    {
-        plan = plan.inject(
-            req_str(fault, "benchmark")?.to_owned(),
-            req_str(fault, "workload")?.to_owned(),
-            decode_fault_kind(req_field(fault, "kind")?)?,
-        );
-    }
-    Ok(plan)
-}
-
-fn decode_config(value: &Value) -> Result<WorkerConfig, DecodeError> {
-    Ok(WorkerConfig {
-        mode: match req_str(value, "mode")? {
-            "strict" => WorkerMode::Strict,
-            "resilient" => WorkerMode::Resilient,
-            other => return Err(format!("unknown worker mode {other:?}")),
-        },
-        scale: decode_scale(req_str(value, "scale")?)?,
-        sampling: decode_sample_config(req_field(value, "sampling")?)?,
-        policy: decode_sampling_policy(req_field(value, "policy")?)?,
-        machine: decode_machine(req_field(value, "machine")?)?,
-        predictor: decode_predictor(req_field(value, "predictor")?)?,
-        faults: decode_fault_plan(req_field(value, "faults")?)?,
-        deadline_work: opt_u64_field(value, "deadline_work")?,
-        beat_ms: req_u64(value, "beat_ms")?,
-    })
-}
-
-/// The predictor names [`TopDownReport`] can carry — the fixed set the
-/// decoder interns `&'static str` names from.
-const PREDICTOR_NAMES: [&str; 4] = ["static-taken", "bimodal", "gshare", "tournament"];
-
-fn intern_predictor(name: &str) -> Result<&'static str, DecodeError> {
-    PREDICTOR_NAMES
-        .iter()
-        .find(|n| **n == name)
-        .copied()
-        .ok_or_else(|| format!("unknown predictor name {name:?}"))
-}
-
-fn decode_report(value: &Value) -> Result<TopDownReport, DecodeError> {
-    Ok(TopDownReport {
-        ratios: TopDownRatios {
-            front_end: req_f64(value, "front_end")?,
-            back_end: req_f64(value, "back_end")?,
-            bad_speculation: req_f64(value, "bad_speculation")?,
-            retiring: req_f64(value, "retiring")?,
-        },
-        cycles: req_f64(value, "cycles")?,
-        retired_ops: req_u64(value, "retired_ops")?,
-        ipc: req_f64(value, "ipc")?,
-        mispredict_rate: req_f64(value, "mispredict_rate")?,
-        mispredicts_per_kops: req_f64(value, "mispredicts_per_kops")?,
-        l1d_miss_ratio: req_f64(value, "l1d_miss_ratio")?,
-        l2_miss_ratio: req_f64(value, "l2_miss_ratio")?,
-        l3_miss_ratio: req_f64(value, "l3_miss_ratio")?,
-        dtlb_miss_ratio: req_f64(value, "dtlb_miss_ratio")?,
-        icache_miss_ratio: req_f64(value, "icache_miss_ratio")?,
-        predictor: intern_predictor(req_str(value, "predictor")?)?,
-        memory: decode_memory_profile(req_field(value, "memory")?)?,
-    })
-}
-
-fn decode_memory_profile(value: &Value) -> Result<MemoryProfile, DecodeError> {
-    let curve = req_field(value, "mpki_curve")?
-        .as_array()
-        .ok_or("mpki_curve must be an array")?
-        .iter()
-        .map(|point| {
-            Ok(MpkiPoint {
-                size_bytes: req_u64(point, "size_bytes")?,
-                mpki: req_f64(point, "mpki")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(MemoryProfile {
-        l1_mpki: req_f64(value, "l1_mpki")?,
-        l2_mpki: req_f64(value, "l2_mpki")?,
-        l3_mpki: req_f64(value, "l3_mpki")?,
-        row_hit_rate: req_f64(value, "row_hit_rate")?,
-        dram_bytes: req_f64(value, "dram_bytes")?,
-        footprint_lines: req_u64(value, "footprint_lines")?,
-        footprint_pages: req_u64(value, "footprint_pages")?,
-        mpki_curve: curve,
-    })
-}
-
-fn decode_sampling_stats(value: &Value) -> Result<SamplingStats, DecodeError> {
-    Ok(SamplingStats {
-        interval_work: req_u64(value, "interval_work")?,
-        intervals: req_usize(value, "intervals")?,
-        clusters: req_usize(value, "clusters")?,
-        detailed_ops: req_u64(value, "detailed_ops")?,
-        total_ops: req_u64(value, "total_ops")?,
-    })
-}
-
-/// Parses a workload run from its canonical wire object — the inverse
-/// of [`run_value`].
-///
-/// # Errors
-///
-/// The first structural problem, as text.
-pub fn decode_run(value: &Value) -> Result<WorkloadRun, DecodeError> {
-    let mut coverage = BTreeMap::new();
-    for (name, pct) in req_field(value, "coverage")?
-        .as_object()
-        .ok_or("coverage must be an object")?
-    {
-        let pct = pct
-            .as_f64()
-            .ok_or_else(|| format!("coverage {name:?} must be a number"))?;
-        coverage.insert(name.clone(), pct);
-    }
-    let mut rows = Vec::new();
-    for row in req_field(value, "paths")?
-        .as_array()
-        .ok_or("paths must be an array")?
-    {
-        let row = row.as_array().ok_or("path row must be an array")?;
-        let [path, calls, exclusive, inclusive] = row else {
-            return Err("path row must have four elements".to_owned());
-        };
-        rows.push(PathRow {
-            path: path
-                .as_str()
-                .ok_or("path row [0] must be a string")?
-                .to_owned(),
-            calls: calls.as_u64().ok_or("path row [1] must be an integer")?,
-            exclusive: exclusive
-                .as_u64()
-                .ok_or("path row [2] must be an integer")?,
-            inclusive: inclusive
-                .as_u64()
-                .ok_or("path row [3] must be an integer")?,
-        });
-    }
-    Ok(WorkloadRun {
-        workload: req_str(value, "workload")?.to_owned(),
-        report: decode_report(req_field(value, "report")?)?,
-        coverage,
-        paths: PathTable::from_rows(rows),
-        work: req_u64(value, "work")?,
-        checksum: req_u64(value, "checksum")?,
-        sampling: match req_field(value, "sampling")? {
-            Value::Null => None,
-            v => Some(decode_sampling_stats(v)?),
-        },
-    })
-}
-
-/// Parses a remote run status from its canonical wire object.
-///
-/// # Errors
-///
-/// The first structural problem, as text.
-pub fn decode_status(value: &Value) -> Result<RemoteStatus, DecodeError> {
-    match req_str(value, "kind")? {
-        "ok" => Ok(RemoteStatus::Ok),
-        "degraded" => Ok(RemoteStatus::Degraded {
-            error: req_str(value, "error")?.to_owned(),
-            retryable: req_bool(value, "retryable")?,
-            retried_at: decode_scale(req_str(value, "retried_at")?)?,
-        }),
-        "failed" => Ok(RemoteStatus::Failed {
-            error: req_str(value, "error")?.to_owned(),
-            retryable: req_bool(value, "retryable")?,
-        }),
-        other => Err(format!("unknown status kind {other:?}")),
-    }
-}
-
-/// Interns a log-target name back to `&'static str`. Known targets map
-/// to their static literals; novel ones are leaked once into a global
-/// cache — the set of targets is a small fixed vocabulary, so the leak
-/// is bounded.
-fn intern_target(name: &str) -> &'static str {
-    const KNOWN: [&str; 4] = ["run", "suite", "supervisor", "worker"];
-    if let Some(known) = KNOWN.iter().find(|k| **k == name) {
-        return known;
-    }
-    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(hit) = cache.iter().find(|t| **t == name) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    cache.push(leaked);
-    leaked
-}
-
-fn decode_log_record(value: &Value) -> Result<LogRecord, DecodeError> {
-    Ok(LogRecord {
-        level: LogLevel::parse(req_str(value, "level")?)?,
-        target: intern_target(req_str(value, "target")?),
-        message: req_str(value, "message")?.to_owned(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alberta_uarch::TopDownModel;
+    use crate::faults::FaultKind;
+    use crate::log::{intern_target, LogLevel};
+    use crate::sampling::SamplingStats;
+    use alberta_profile::{PathRow, PathTable, ProfilerFault};
+    use alberta_stats::variation::TopDownRatios;
+    use alberta_uarch::{MemoryProfile, MpkiPoint, TopDownModel, TopDownReport};
 
     fn sample_run() -> WorkloadRun {
         WorkloadRun {

@@ -21,6 +21,8 @@
 //! Both passes are pure functions of the run inputs, so sampled sweeps
 //! keep the repo's serial-vs-parallel byte-identity invariant.
 
+use crate::json::{req, unknown_tag, DecodeError, Fields, FromJson, ToJson, Value};
+use crate::json_codec;
 use alberta_profile::{Profile, SampleConfig, Totals, WARM_DILUTION, WARM_MEMORY_DILUTION};
 use alberta_stats::{k_medoids, Clustering};
 use alberta_uarch::{MedoidWindow, TopDownModel};
@@ -349,6 +351,40 @@ pub fn detail_config(
     };
     (detail, stride)
 }
+
+json_codec!(PhaseSampling {
+    interval_work,
+    k,
+    seed
+});
+
+impl ToJson for SamplingPolicy {
+    fn to_value(&self) -> Value {
+        match self {
+            SamplingPolicy::Full => Fields::new().put("kind", "full"),
+            SamplingPolicy::Phase(phase) => Fields::new().put("kind", "phase").put_all(phase),
+        }
+        .build()
+    }
+}
+
+impl FromJson for SamplingPolicy {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "kind")?.as_str() {
+            "full" => Ok(SamplingPolicy::Full),
+            "phase" => Ok(SamplingPolicy::Phase(PhaseSampling::from_value(value)?)),
+            other => Err(unknown_tag("kind", other)),
+        }
+    }
+}
+
+json_codec!(SamplingStats {
+    interval_work,
+    intervals,
+    clusters,
+    detailed_ops,
+    total_ops
+});
 
 #[cfg(test)]
 mod tests {

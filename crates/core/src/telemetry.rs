@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json::Value;
+use crate::json::{opt, req, DecodeError, Fields, FromJson, ToJson, Value};
 
 /// Which plane a metric belongs to. The split is the contract: nothing
 /// wall-clock may ever enter [`Plane::Deterministic`].
@@ -106,20 +106,16 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
     }
+}
 
+impl ToJson for Histogram {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "edges".to_owned(),
-                Value::Array(self.edges.iter().map(|&e| Value::UInt(e)).collect()),
-            ),
-            (
-                "buckets".to_owned(),
-                Value::Array(self.buckets.iter().map(|&b| Value::UInt(b)).collect()),
-            ),
-            ("count".to_owned(), Value::UInt(self.count)),
-            ("sum".to_owned(), Value::UInt(self.sum)),
-        ])
+        Fields::new()
+            .put("edges", self.edges)
+            .put("buckets", &self.buckets)
+            .put("count", &self.count)
+            .put("sum", &self.sum)
+            .build()
     }
 }
 
@@ -130,37 +126,13 @@ struct PlaneState {
     histograms: BTreeMap<String, Histogram>,
 }
 
-impl PlaneState {
+impl ToJson for PlaneState {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "counters".to_owned(),
-                Value::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Value::UInt(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_owned(),
-                Value::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Value::UInt(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms".to_owned(),
-                Value::Object(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_value()))
-                        .collect(),
-                ),
-            ),
-        ])
+        Fields::new()
+            .put("counters", &self.counters)
+            .put("gauges", &self.gauges)
+            .put("histograms", &self.histograms)
+            .build()
     }
 }
 
@@ -244,47 +216,32 @@ pub struct SpanEvent {
     /// Lifecycle stage, e.g. `received`, `cache_hit`, `placed`,
     /// `dispatched`, `retried`, `completed`.
     pub stage: String,
-    /// Stage-specific attributes, in emission order.
-    pub attrs: Vec<(String, Value)>,
+    /// Stage-specific attributes: an object, fields in emission order.
+    pub attrs: Value,
 }
 
-impl SpanEvent {
-    /// The event as a canonical wire object.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("seq".to_owned(), Value::UInt(self.seq)),
-            ("request".to_owned(), Value::Str(self.request.clone())),
-            ("stage".to_owned(), Value::Str(self.stage.clone())),
-            ("attrs".to_owned(), Value::Object(self.attrs.clone())),
-        ])
+impl ToJson for SpanEvent {
+    fn to_value(&self) -> Value {
+        Fields::new()
+            .put("seq", &self.seq)
+            .put("request", &self.request)
+            .put("stage", &self.stage)
+            .put("attrs", &self.attrs)
+            .build()
     }
+}
 
-    /// Parses an event from its wire object.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let attrs = match value.get("attrs") {
-            Some(Value::Object(fields)) => fields.clone(),
-            Some(_) => return Err("span attrs must be an object".to_owned()),
-            None => Vec::new(),
+impl FromJson for SpanEvent {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        let attrs = match opt(value, "attrs")? {
+            None => Value::Object(Vec::new()),
+            Some(attrs @ Value::Object(_)) => attrs,
+            Some(_) => return Err(DecodeError::new("expected an object").within("attrs")),
         };
         Ok(SpanEvent {
-            seq: value
-                .get("seq")
-                .and_then(Value::as_u64)
-                .ok_or("span missing seq")?,
-            request: value
-                .get("request")
-                .and_then(Value::as_str)
-                .ok_or("span missing request")?
-                .to_owned(),
-            stage: value
-                .get("stage")
-                .and_then(Value::as_str)
-                .ok_or("span missing stage")?
-                .to_owned(),
+            seq: req(value, "seq")?,
+            request: req(value, "request")?,
+            stage: req(value, "stage")?,
             attrs,
         })
     }
@@ -305,12 +262,12 @@ impl SpanLog {
     }
 
     /// Appends one event, assigning the next sequence number.
-    pub fn push(&mut self, request: &str, stage: &str, attrs: Vec<(String, Value)>) {
+    pub fn push(&mut self, request: &str, stage: &str, attrs: Fields) {
         self.events.push(SpanEvent {
             seq: self.events.len() as u64,
             request: request.to_owned(),
             stage: stage.to_owned(),
-            attrs,
+            attrs: attrs.build(),
         });
     }
 
@@ -328,10 +285,12 @@ impl SpanLog {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+}
 
-    /// The whole log as a canonical array.
-    pub fn to_value(&self) -> Value {
-        Value::Array(self.events.iter().map(SpanEvent::to_value).collect())
+/// The whole log is the canonical array of its events.
+impl ToJson for SpanLog {
+    fn to_value(&self) -> Value {
+        self.events.to_value()
     }
 }
 
@@ -396,9 +355,9 @@ mod tests {
         log.push(
             &request_label("storm-m0", 3),
             "received",
-            vec![("benchmark".to_owned(), Value::Str("mcf".to_owned()))],
+            Fields::new().put("benchmark", "mcf"),
         );
-        log.push(&request_label("storm-m0", 3), "completed", Vec::new());
+        log.push(&request_label("storm-m0", 3), "completed", Fields::new());
         assert_eq!(log.len(), 2);
         assert_eq!(log.events()[0].seq, 0);
         assert_eq!(log.events()[1].seq, 1);
@@ -413,9 +372,9 @@ mod tests {
         again.push(
             &request_label("storm-m0", 3),
             "received",
-            vec![("benchmark".to_owned(), Value::Str("mcf".to_owned()))],
+            Fields::new().put("benchmark", "mcf"),
         );
-        again.push(&request_label("storm-m0", 3), "completed", Vec::new());
+        again.push(&request_label("storm-m0", 3), "completed", Fields::new());
         assert_eq!(again.to_value().render(), rendered.render());
     }
 }

@@ -18,8 +18,9 @@
 //! checksum with an unchanged status usually means a workload generator
 //! was deliberately altered, which a human should confirm.
 
-use crate::schema::{MemoryRecord, StatusKind, SuiteReport};
+use crate::schema::{StatusKind, SuiteReport};
 use alberta_core::report::{format_table, Align};
+use alberta_core::MemoryProfile;
 
 /// Knobs for [`ReportDiff::compute`].
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +71,7 @@ impl DeltaRow {
 /// Largest absolute relative change across two runs' memory sections.
 /// Curve points are matched by swept size; a size present on only one
 /// side counts as an infinite change (the sweep grid itself moved).
-fn memory_drift(base: &MemoryRecord, new: &MemoryRecord) -> f64 {
+fn memory_drift(base: &MemoryProfile, new: &MemoryProfile) -> f64 {
     let scalars = [
         (base.l1_mpki, new.l1_mpki),
         (base.l2_mpki, new.l2_mpki),

@@ -2,7 +2,7 @@
 //! `table-mem`.
 //!
 //! A [`MemoryDocument`] is the memory view of one sweep: per surviving
-//! `(benchmark, workload)` run it carries the [`MemoryRecord`] the full
+//! `(benchmark, workload)` run it carries the [`MemoryProfile`] the full
 //! [`SuiteReport`] embeds — MPKI per cache level, DRAM row-buffer hit
 //! rate, bytes read from DRAM, exact footprint, and the
 //! MPKI-vs-cache-size curve. It is a pure projection of the suite
@@ -10,9 +10,10 @@
 //! is bit-identical across execution policies, and CI gates it
 //! byte-for-byte against a committed `MEM_test.json` golden.
 
-use crate::json::{self, Value};
-use crate::schema::{require_array, require_str, MemoryRecord, SuiteReport};
-use crate::ReportError;
+use crate::json::ToJson;
+use crate::schema::SuiteReport;
+use crate::{parse_versioned, ReportError};
+use alberta_core::{json_codec, MemoryProfile};
 use alberta_workloads::Scale;
 
 /// The schema version of `MEM_*.json` documents.
@@ -27,8 +28,14 @@ pub struct MemoryRunRecord {
     /// Workload name.
     pub workload: String,
     /// The memory section of the run's measures.
-    pub memory: MemoryRecord,
+    pub memory: MemoryProfile,
 }
+
+json_codec!(MemoryRunRecord {
+    benchmark,
+    workload,
+    memory
+});
 
 /// The memory view of one full sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,14 +47,6 @@ pub struct MemoryDocument {
     pub scale: Scale,
     /// One record per surviving run, in suite-report order.
     pub rows: Vec<MemoryRunRecord>,
-}
-
-fn scale_str(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
 }
 
 impl MemoryDocument {
@@ -76,32 +75,7 @@ impl MemoryDocument {
 
     /// Serializes to canonical JSON text (pretty, trailing newline).
     pub fn to_json(&self) -> String {
-        Value::Object(vec![
-            (
-                "schema_version".to_owned(),
-                Value::UInt(self.schema_version),
-            ),
-            (
-                "scale".to_owned(),
-                Value::Str(scale_str(self.scale).to_owned()),
-            ),
-            (
-                "rows".to_owned(),
-                Value::Array(
-                    self.rows
-                        .iter()
-                        .map(|row| {
-                            Value::Object(vec![
-                                ("benchmark".to_owned(), Value::Str(row.benchmark.clone())),
-                                ("workload".to_owned(), Value::Str(row.workload.clone())),
-                                ("memory".to_owned(), row.memory.to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render()
+        self.to_value().render()
     }
 
     /// Parses a memory document, enforcing the schema version before
@@ -113,45 +87,12 @@ impl MemoryDocument {
     /// [`ReportError::UnsupportedVersion`] on a version this build does
     /// not emit, [`ReportError::Schema`] on structural problems.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReportError::Schema {
-                message: "missing or non-integer schema_version".to_owned(),
-            })?;
-        if version != MEM_SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
-        let scale = require_str(&value, "scale")?;
-        let scale = match scale {
-            "test" => Scale::Test,
-            "train" => Scale::Train,
-            "ref" => Scale::Ref,
-            _ => {
-                return Err(ReportError::Schema {
-                    message: format!("unknown scale {scale:?}; expected test, train, or ref"),
-                })
-            }
-        };
-        let rows = require_array(&value, "rows")?
-            .iter()
-            .map(|row| {
-                Ok(MemoryRunRecord {
-                    benchmark: require_str(row, "benchmark")?.to_owned(),
-                    workload: require_str(row, "workload")?.to_owned(),
-                    memory: MemoryRecord::from_value(row.get("memory").ok_or_else(|| {
-                        ReportError::Schema {
-                            message: "memory row missing memory object".to_owned(),
-                        }
-                    })?)?,
-                })
-            })
-            .collect::<Result<_, ReportError>>()?;
-        Ok(MemoryDocument {
-            schema_version: version,
-            scale,
-            rows,
-        })
+        parse_versioned(text, MEM_SCHEMA_VERSION)
     }
 }
+
+json_codec!(MemoryDocument {
+    schema_version,
+    scale,
+    rows
+});

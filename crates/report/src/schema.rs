@@ -23,9 +23,12 @@
 //! of misparsing — field meanings may change between versions, and a
 //! silently misread baseline would gate CI on garbage.
 
-use crate::json::{self, Value};
-use crate::ReportError;
-use alberta_core::{Characterization, PathTable, ResilientCharacterization, RunMetrics, RunStatus};
+use crate::json::{opt, req, DecodeError, Fields, FromJson, ToJson, Value};
+use crate::{parse_versioned, ReportError};
+use alberta_core::{
+    json_codec, Characterization, MemoryProfile, PathTable, ResilientCharacterization, RunMetrics,
+    RunStatus,
+};
 use alberta_workloads::Scale;
 use std::collections::BTreeMap;
 
@@ -106,29 +109,34 @@ pub enum StatusKind {
 }
 
 impl StatusKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            StatusKind::Ok => "ok",
-            StatusKind::Degraded => "degraded",
-            StatusKind::Failed => "failed",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "ok" => Some(StatusKind::Ok),
-            "degraded" => Some(StatusKind::Degraded),
-            "failed" => Some(StatusKind::Failed),
-            _ => None,
-        }
-    }
-
     /// Ordering used by the diff layer: a larger rank is a worse fate.
     pub fn rank(self) -> u8 {
         match self {
             StatusKind::Ok => 0,
             StatusKind::Degraded => 1,
             StatusKind::Failed => 2,
+        }
+    }
+}
+
+impl ToJson for StatusKind {
+    fn to_value(&self) -> Value {
+        match self {
+            StatusKind::Ok => "ok",
+            StatusKind::Degraded => "degraded",
+            StatusKind::Failed => "failed",
+        }
+        .to_value()
+    }
+}
+
+impl FromJson for StatusKind {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match String::from_value(value)?.as_str() {
+            "ok" => Ok(StatusKind::Ok),
+            "degraded" => Ok(StatusKind::Degraded),
+            "failed" => Ok(StatusKind::Failed),
+            other => Err(DecodeError::new(format!("unknown status {other:?}"))),
         }
     }
 }
@@ -210,32 +218,17 @@ impl SamplingRecord {
             estimate_error: None,
         }
     }
-
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("interval_work".to_owned(), Value::UInt(self.interval_work)),
-            ("intervals".to_owned(), Value::UInt(self.intervals)),
-            ("clusters".to_owned(), Value::UInt(self.clusters)),
-            ("detailed_ops".to_owned(), Value::UInt(self.detailed_ops)),
-            ("total_ops".to_owned(), Value::UInt(self.total_ops)),
-        ];
-        if let Some(error) = self.estimate_error {
-            fields.push(("estimate_error".to_owned(), Value::Float(error)));
-        }
-        Value::Object(fields)
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        Ok(SamplingRecord {
-            interval_work: require_u64(value, "interval_work")?,
-            intervals: require_u64(value, "intervals")?,
-            clusters: require_u64(value, "clusters")?,
-            detailed_ops: require_u64(value, "detailed_ops")?,
-            total_ops: require_u64(value, "total_ops")?,
-            estimate_error: optional_f64(value, "estimate_error")?,
-        })
-    }
 }
+
+json_codec!(SamplingRecord {
+    interval_work,
+    intervals,
+    clusters,
+    detailed_ops,
+    total_ops,
+    #[omit_none]
+    estimate_error
+});
 
 /// One hot call path of a benchmark: collapsed-stack notation with the
 /// exact counters behind its ranking.
@@ -250,23 +243,11 @@ pub struct HotPathRecord {
     pub calls: u64,
 }
 
-impl HotPathRecord {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("path".to_owned(), Value::Str(self.path.clone())),
-            ("exclusive".to_owned(), Value::UInt(self.exclusive)),
-            ("calls".to_owned(), Value::UInt(self.calls)),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        Ok(HotPathRecord {
-            path: require_str(value, "path")?.to_owned(),
-            exclusive: require_u64(value, "exclusive")?,
-            calls: require_u64(value, "calls")?,
-        })
-    }
-}
+json_codec!(HotPathRecord {
+    path,
+    exclusive,
+    calls
+});
 
 /// The measured behaviour of one surviving run.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,116 +266,10 @@ pub struct MeasureRecord {
     pub checksum: u64,
     /// Method coverage: method name → percent of attributed work.
     pub coverage: BTreeMap<String, f64>,
-    /// Memory-hierarchy characterization (schema version 2+).
-    pub memory: MemoryRecord,
-}
-
-/// The memory-hierarchy characterization of one surviving run: miss
-/// rates per level, DRAM behaviour, exact footprint, and the
-/// MPKI-vs-cache-size curve.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MemoryRecord {
-    /// L1D misses per kilo retired µop.
-    pub l1_mpki: f64,
-    /// L2 misses per kilo retired µop.
-    pub l2_mpki: f64,
-    /// L3 misses per kilo retired µop.
-    pub l3_mpki: f64,
-    /// Fraction of DRAM accesses that hit an open row buffer.
-    pub row_hit_rate: f64,
-    /// Bytes read from DRAM (line fills past the L3).
-    pub dram_bytes: f64,
-    /// Distinct cache lines touched over the whole run (exact).
-    pub footprint_lines: u64,
-    /// Distinct pages touched over the whole run (exact).
-    pub footprint_pages: u64,
-    /// L1-style MPKI at each swept cache size, smallest first.
-    pub mpki_curve: Vec<MpkiCurveRecord>,
-}
-
-/// One point of the MPKI-vs-cache-size curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MpkiCurveRecord {
-    /// Swept cache capacity in bytes.
-    pub size_bytes: u64,
-    /// Misses per kilo retired µop at that capacity.
-    pub mpki: f64,
-}
-
-impl MemoryRecord {
-    fn from_profile(m: &alberta_core::MemoryProfile) -> Self {
-        MemoryRecord {
-            l1_mpki: m.l1_mpki,
-            l2_mpki: m.l2_mpki,
-            l3_mpki: m.l3_mpki,
-            row_hit_rate: m.row_hit_rate,
-            dram_bytes: m.dram_bytes,
-            footprint_lines: m.footprint_lines,
-            footprint_pages: m.footprint_pages,
-            mpki_curve: m
-                .mpki_curve
-                .iter()
-                .map(|p| MpkiCurveRecord {
-                    size_bytes: p.size_bytes,
-                    mpki: p.mpki,
-                })
-                .collect(),
-        }
-    }
-
-    pub(crate) fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("l1_mpki".to_owned(), Value::Float(self.l1_mpki)),
-            ("l2_mpki".to_owned(), Value::Float(self.l2_mpki)),
-            ("l3_mpki".to_owned(), Value::Float(self.l3_mpki)),
-            ("row_hit_rate".to_owned(), Value::Float(self.row_hit_rate)),
-            ("dram_bytes".to_owned(), Value::Float(self.dram_bytes)),
-            (
-                "footprint_lines".to_owned(),
-                Value::UInt(self.footprint_lines),
-            ),
-            (
-                "footprint_pages".to_owned(),
-                Value::UInt(self.footprint_pages),
-            ),
-            (
-                "mpki_curve".to_owned(),
-                Value::Array(
-                    self.mpki_curve
-                        .iter()
-                        .map(|p| {
-                            Value::Object(vec![
-                                ("size_bytes".to_owned(), Value::UInt(p.size_bytes)),
-                                ("mpki".to_owned(), Value::Float(p.mpki)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    pub(crate) fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let mpki_curve = require_array(value, "mpki_curve")?
-            .iter()
-            .map(|p| {
-                Ok(MpkiCurveRecord {
-                    size_bytes: require_u64(p, "size_bytes")?,
-                    mpki: require_f64(p, "mpki")?,
-                })
-            })
-            .collect::<Result<_, ReportError>>()?;
-        Ok(MemoryRecord {
-            l1_mpki: require_f64(value, "l1_mpki")?,
-            l2_mpki: require_f64(value, "l2_mpki")?,
-            l3_mpki: require_f64(value, "l3_mpki")?,
-            row_hit_rate: require_f64(value, "row_hit_rate")?,
-            dram_bytes: require_f64(value, "dram_bytes")?,
-            footprint_lines: require_u64(value, "footprint_lines")?,
-            footprint_pages: require_u64(value, "footprint_pages")?,
-            mpki_curve,
-        })
-    }
+    /// Memory-hierarchy characterization (schema version 2+): miss
+    /// rates per level, DRAM behaviour, exact footprint, and the
+    /// MPKI-vs-cache-size curve.
+    pub memory: MemoryProfile,
 }
 
 /// `(μg, σg, V)` for one Top-Down category across workloads.
@@ -427,23 +302,6 @@ pub struct SummaryRecord {
     pub mu_g_m: f64,
     /// Modelled refrate cycles; `None` when the refrate run was lost.
     pub refrate_cycles: Option<f64>,
-}
-
-fn scale_str(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Train => "train",
-        Scale::Ref => "ref",
-    }
-}
-
-fn scale_from_str(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "train" => Some(Scale::Train),
-        "ref" => Some(Scale::Ref),
-        _ => None,
-    }
 }
 
 impl SuiteReport {
@@ -668,121 +526,40 @@ impl SuiteReport {
     /// one this build understands (checked before any other field is
     /// touched), and [`ReportError::Schema`] on structural problems.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        // Version gate first: field meanings are only defined per
-        // version, so nothing else may be interpreted before this check.
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReportError::Schema {
-                message: "missing or non-integer schema_version".to_owned(),
-            })?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
-        let scale = require_str(&value, "scale")?;
-        let scale = scale_from_str(scale).ok_or_else(|| ReportError::Schema {
-            message: format!("unknown scale {scale:?}; expected test, train, or ref"),
-        })?;
-        let benchmarks = require_array(&value, "benchmarks")?
-            .iter()
-            .map(BenchmarkReport::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(SuiteReport {
-            schema_version: version,
-            scale,
-            benchmarks,
-        })
+        parse_versioned(text, SCHEMA_VERSION)
     }
+}
 
+impl ToJson for SuiteReport {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "schema_version".to_owned(),
-                Value::UInt(self.schema_version),
-            ),
-            (
-                "generator".to_owned(),
-                Value::Str("alberta-report".to_owned()),
-            ),
-            (
-                "scale".to_owned(),
-                Value::Str(scale_str(self.scale).to_owned()),
-            ),
-            (
-                "benchmarks".to_owned(),
-                Value::Array(
-                    self.benchmarks
-                        .iter()
-                        .map(BenchmarkReport::to_value)
-                        .collect(),
-                ),
-            ),
-        ])
+        Fields::new()
+            .put("schema_version", &self.schema_version)
+            .put("generator", "alberta-report")
+            .put("scale", &self.scale)
+            .put("benchmarks", &self.benchmarks)
+            .build()
     }
 }
 
-impl BenchmarkReport {
-    /// The benchmark section as its canonical JSON object — the exact
-    /// value the full report serialization embeds, which is what the
-    /// characterization service sends as a benchmark-level response.
-    pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("spec_id".to_owned(), Value::Str(self.spec_id.clone())),
-            ("short_name".to_owned(), Value::Str(self.short_name.clone())),
-            (
-                "runs".to_owned(),
-                Value::Array(self.runs.iter().map(RunRecord::to_value).collect()),
-            ),
-        ];
-        if let Some(summary) = &self.summary {
-            fields.push(("summary".to_owned(), summary.to_value()));
-        }
-        if let Some(hot_paths) = &self.hot_paths {
-            fields.push((
-                "hot_paths".to_owned(),
-                Value::Array(hot_paths.iter().map(HotPathRecord::to_value).collect()),
-            ));
-        }
-        Value::Object(fields)
-    }
-
-    /// Parses a benchmark section from its canonical JSON object — the
-    /// inverse of [`BenchmarkReport::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// [`ReportError::Schema`] on structural problems.
-    pub fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let runs = require_array(value, "runs")?
-            .iter()
-            .map(RunRecord::from_value)
-            .collect::<Result<_, _>>()?;
-        let summary = value
-            .get("summary")
-            .map(SummaryRecord::from_value)
-            .transpose()?;
-        let hot_paths = match value.get("hot_paths") {
-            None => None,
-            Some(v) => Some(
-                v.as_array()
-                    .ok_or_else(|| ReportError::Schema {
-                        message: "hot_paths is not an array".to_owned(),
-                    })?
-                    .iter()
-                    .map(HotPathRecord::from_value)
-                    .collect::<Result<_, _>>()?,
-            ),
-        };
-        Ok(BenchmarkReport {
-            spec_id: require_str(value, "spec_id")?.to_owned(),
-            short_name: require_str(value, "short_name")?.to_owned(),
-            runs,
-            summary,
-            hot_paths,
+impl FromJson for SuiteReport {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        Ok(SuiteReport {
+            schema_version: req(value, "schema_version")?,
+            scale: req(value, "scale")?,
+            benchmarks: req(value, "benchmarks")?,
         })
     }
 }
+
+json_codec!(BenchmarkReport {
+    spec_id,
+    short_name,
+    runs,
+    #[omit_none]
+    summary,
+    #[omit_none]
+    hot_paths
+});
 
 impl RunRecord {
     /// Builds the canonical (telemetry-free) record of one run from its
@@ -824,111 +601,54 @@ impl RunRecord {
                 .map(SamplingRecord::from_stats),
         }
     }
+}
 
-    /// The record as its canonical JSON object — the exact value the
-    /// full report serialization embeds.
-    pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("workload".to_owned(), Value::Str(self.workload.clone())),
-            (
-                "status".to_owned(),
-                Value::Str(self.status.as_str().to_owned()),
-            ),
-        ];
-        if let Some(error) = &self.error {
-            fields.push(("error".to_owned(), Value::Str(error.clone())));
-        }
-        if let Some(scale) = self.retried_at {
-            fields.push((
-                "retried_at".to_owned(),
-                Value::Str(scale_str(scale).to_owned()),
-            ));
-        }
-        fields.push(("retries".to_owned(), Value::UInt(u64::from(self.retries))));
-        fields.push((
-            "budget_consumed".to_owned(),
-            Value::UInt(self.budget_consumed),
-        ));
-        if let Some(nanos) = self.wall_nanos {
-            fields.push(("wall_nanos".to_owned(), Value::UInt(nanos)));
-        }
-        if let Some(nanos) = self.start_nanos {
-            fields.push(("start_nanos".to_owned(), Value::UInt(nanos)));
-        }
-        if let Some(worker) = self.worker {
-            fields.push(("worker".to_owned(), Value::UInt(worker)));
-        }
-        if let Some(dispatches) = self.dispatches {
-            fields.push(("dispatches".to_owned(), Value::UInt(u64::from(dispatches))));
-        }
-        if let Some(measures) = &self.measures {
-            fields.push(("measures".to_owned(), measures.to_value()));
-        }
-        if let Some(sampling) = &self.sampling {
-            fields.push(("sampling".to_owned(), sampling.to_value()));
-        }
-        Value::Object(fields)
+impl ToJson for RunRecord {
+    fn to_value(&self) -> Value {
+        Fields::new()
+            .put("workload", &self.workload)
+            .put("status", &self.status)
+            .put_some("error", &self.error)
+            .put_some("retried_at", &self.retried_at)
+            .put("retries", &self.retries)
+            .put("budget_consumed", &self.budget_consumed)
+            .put_some("wall_nanos", &self.wall_nanos)
+            .put_some("start_nanos", &self.start_nanos)
+            .put_some("worker", &self.worker)
+            .put_some("dispatches", &self.dispatches)
+            .put_some("measures", &self.measures)
+            .put_some("sampling", &self.sampling)
+            .build()
     }
+}
 
-    /// Parses a record from its canonical JSON object — the inverse of
-    /// [`RunRecord::to_value`].
-    ///
-    /// # Errors
-    ///
-    /// [`ReportError::Schema`] on structural problems.
-    pub fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let workload = require_str(value, "workload")?.to_owned();
-        let status_text = require_str(value, "status")?;
-        let status = StatusKind::from_str(status_text).ok_or_else(|| ReportError::Schema {
-            message: format!("run {workload:?}: unknown status {status_text:?}"),
-        })?;
-        let error = optional_str(value, "error")?.map(str::to_owned);
-        let retried_at = match optional_str(value, "retried_at")? {
-            Some(s) => Some(scale_from_str(s).ok_or_else(|| ReportError::Schema {
-                message: format!("run {workload:?}: unknown retried_at scale {s:?}"),
-            })?),
-            None => None,
+impl FromJson for RunRecord {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        let record = RunRecord {
+            workload: req(value, "workload")?,
+            status: req(value, "status")?,
+            error: opt(value, "error")?,
+            retried_at: opt(value, "retried_at")?,
+            retries: req(value, "retries")?,
+            budget_consumed: req(value, "budget_consumed")?,
+            wall_nanos: opt(value, "wall_nanos")?,
+            start_nanos: opt(value, "start_nanos")?,
+            worker: opt(value, "worker")?,
+            dispatches: opt(value, "dispatches")?,
+            measures: opt(value, "measures")?,
+            sampling: opt(value, "sampling")?,
         };
-        let measures = value
-            .get("measures")
-            .map(MeasureRecord::from_value)
-            .transpose()?;
-        if status == StatusKind::Ok && measures.is_none() {
-            return Err(ReportError::Schema {
-                message: format!("run {workload:?}: status is ok but measures are missing"),
-            });
-        }
-        if status != StatusKind::Ok && error.is_none() {
-            return Err(ReportError::Schema {
-                message: format!("run {workload:?}: non-ok status without an error"),
-            });
-        }
-        Ok(RunRecord {
-            workload,
-            status,
-            error,
-            retried_at,
-            retries: u32::try_from(require_u64(value, "retries")?).map_err(|_| {
-                ReportError::Schema {
-                    message: "retries out of range".to_owned(),
-                }
-            })?,
-            budget_consumed: require_u64(value, "budget_consumed")?,
-            wall_nanos: optional_u64(value, "wall_nanos")?,
-            start_nanos: optional_u64(value, "start_nanos")?,
-            worker: optional_u64(value, "worker")?,
-            dispatches: match optional_u64(value, "dispatches")? {
-                None => None,
-                Some(n) => Some(u32::try_from(n).map_err(|_| ReportError::Schema {
-                    message: "dispatches out of range".to_owned(),
-                })?),
-            },
-            measures,
-            sampling: value
-                .get("sampling")
-                .map(SamplingRecord::from_value)
-                .transpose()?,
-        })
+        let problem = match record.status {
+            StatusKind::Ok if record.measures.is_none() => "status is ok but measures are missing",
+            StatusKind::Degraded | StatusKind::Failed if record.error.is_none() => {
+                "non-ok status without an error"
+            }
+            _ => return Ok(record),
+        };
+        Err(DecodeError::new(format!(
+            "run {:?}: {problem}",
+            record.workload
+        )))
     }
 }
 
@@ -942,87 +662,55 @@ impl MeasureRecord {
             work: run.work,
             checksum: run.checksum,
             coverage: run.coverage.clone(),
-            memory: MemoryRecord::from_profile(&run.report.memory),
+            memory: run.report.memory.clone(),
         }
     }
+}
 
+impl ToJson for MeasureRecord {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("front_end".to_owned(), Value::Float(self.ratios[0])),
-            ("back_end".to_owned(), Value::Float(self.ratios[1])),
-            ("bad_speculation".to_owned(), Value::Float(self.ratios[2])),
-            ("retiring".to_owned(), Value::Float(self.ratios[3])),
-            ("cycles".to_owned(), Value::Float(self.cycles)),
-            ("ipc".to_owned(), Value::Float(self.ipc)),
-            ("retired_ops".to_owned(), Value::UInt(self.retired_ops)),
-            ("work".to_owned(), Value::UInt(self.work)),
-            ("checksum".to_owned(), Value::UInt(self.checksum)),
-            (
-                "coverage".to_owned(),
-                Value::Object(
-                    self.coverage
-                        .iter()
-                        .map(|(method, pct)| (method.clone(), Value::Float(*pct)))
-                        .collect(),
-                ),
-            ),
-            ("memory".to_owned(), self.memory.to_value()),
-        ])
+        let [front_end, back_end, bad_speculation, retiring] = &self.ratios;
+        Fields::new()
+            .put("front_end", front_end)
+            .put("back_end", back_end)
+            .put("bad_speculation", bad_speculation)
+            .put("retiring", retiring)
+            .put("cycles", &self.cycles)
+            .put("ipc", &self.ipc)
+            .put("retired_ops", &self.retired_ops)
+            .put("work", &self.work)
+            .put("checksum", &self.checksum)
+            .put("coverage", &self.coverage)
+            .put("memory", &self.memory)
+            .build()
     }
+}
 
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let coverage_fields = value
-            .get("coverage")
-            .and_then(Value::as_object)
-            .ok_or_else(|| ReportError::Schema {
-                message: "measures missing coverage object".to_owned(),
-            })?;
-        let mut coverage = BTreeMap::new();
-        for (method, pct) in coverage_fields {
-            let pct = pct.as_f64().ok_or_else(|| ReportError::Schema {
-                message: format!("coverage of {method:?} is not a number"),
-            })?;
-            coverage.insert(method.clone(), pct);
-        }
+impl FromJson for MeasureRecord {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(MeasureRecord {
             ratios: [
-                require_f64(value, "front_end")?,
-                require_f64(value, "back_end")?,
-                require_f64(value, "bad_speculation")?,
-                require_f64(value, "retiring")?,
+                req(value, "front_end")?,
+                req(value, "back_end")?,
+                req(value, "bad_speculation")?,
+                req(value, "retiring")?,
             ],
-            cycles: require_f64(value, "cycles")?,
-            ipc: require_f64(value, "ipc")?,
-            retired_ops: require_u64(value, "retired_ops")?,
-            work: require_u64(value, "work")?,
-            checksum: require_u64(value, "checksum")?,
-            coverage,
-            memory: MemoryRecord::from_value(value.get("memory").ok_or_else(|| {
-                ReportError::Schema {
-                    message: "measures missing memory object".to_owned(),
-                }
-            })?)?,
+            cycles: req(value, "cycles")?,
+            ipc: req(value, "ipc")?,
+            retired_ops: req(value, "retired_ops")?,
+            work: req(value, "work")?,
+            checksum: req(value, "checksum")?,
+            coverage: req(value, "coverage")?,
+            memory: req(value, "memory")?,
         })
     }
 }
 
-impl CategoryRecord {
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("geo_mean".to_owned(), Value::Float(self.geo_mean)),
-            ("geo_std".to_owned(), Value::Float(self.geo_std)),
-            ("variation".to_owned(), Value::Float(self.variation)),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        Ok(CategoryRecord {
-            geo_mean: require_f64(value, "geo_mean")?,
-            geo_std: require_f64(value, "geo_std")?,
-            variation: require_f64(value, "variation")?,
-        })
-    }
-}
+json_codec!(CategoryRecord {
+    geo_mean,
+    geo_std,
+    variation
+});
 
 impl SummaryRecord {
     /// Projects a [`Characterization`] to its Table II summary row —
@@ -1045,107 +733,16 @@ impl SummaryRecord {
             refrate_cycles: c.refrate_cycles,
         }
     }
-
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("workloads".to_owned(), Value::UInt(self.workloads)),
-            ("front_end".to_owned(), self.front_end.to_value()),
-            ("back_end".to_owned(), self.back_end.to_value()),
-            (
-                "bad_speculation".to_owned(),
-                self.bad_speculation.to_value(),
-            ),
-            ("retiring".to_owned(), self.retiring.to_value()),
-            ("mu_g_v".to_owned(), Value::Float(self.mu_g_v)),
-            ("mu_g_m".to_owned(), Value::Float(self.mu_g_m)),
-        ];
-        if let Some(cycles) = self.refrate_cycles {
-            fields.push(("refrate_cycles".to_owned(), Value::Float(cycles)));
-        }
-        Value::Object(fields)
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        let sub = |key: &str| -> Result<CategoryRecord, ReportError> {
-            CategoryRecord::from_value(value.get(key).ok_or_else(|| ReportError::Schema {
-                message: format!("summary missing {key:?}"),
-            })?)
-        };
-        Ok(SummaryRecord {
-            workloads: require_u64(value, "workloads")?,
-            front_end: sub("front_end")?,
-            back_end: sub("back_end")?,
-            bad_speculation: sub("bad_speculation")?,
-            retiring: sub("retiring")?,
-            mu_g_v: require_f64(value, "mu_g_v")?,
-            mu_g_m: require_f64(value, "mu_g_m")?,
-            refrate_cycles: optional_f64(value, "refrate_cycles")?,
-        })
-    }
 }
 
-pub(crate) fn require_str<'v>(value: &'v Value, key: &str) -> Result<&'v str, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-string field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_str<'v>(
-    value: &'v Value,
-    key: &str,
-) -> Result<Option<&'v str>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not a string"),
-        }),
-    }
-}
-
-pub(crate) fn require_array<'v>(value: &'v Value, key: &str) -> Result<&'v [Value], ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-array field {key:?}"),
-        })
-}
-
-pub(crate) fn require_u64(value: &Value, key: &str) -> Result<u64, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-integer field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not an integer"),
-        }),
-    }
-}
-
-pub(crate) fn require_f64(value: &Value, key: &str) -> Result<f64, ReportError> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| ReportError::Schema {
-            message: format!("missing or non-numeric field {key:?}"),
-        })
-}
-
-pub(crate) fn optional_f64(value: &Value, key: &str) -> Result<Option<f64>, ReportError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| ReportError::Schema {
-            message: format!("field {key:?} is not a number"),
-        }),
-    }
-}
+json_codec!(SummaryRecord {
+    workloads,
+    front_end,
+    back_end,
+    bad_speculation,
+    retiring,
+    mu_g_v,
+    mu_g_m,
+    #[omit_none]
+    refrate_cycles
+});

@@ -16,18 +16,18 @@
 //! [`LatencyReport`] is wall-clock telemetry: tracked as an uploaded
 //! artifact, never gated.
 
-use crate::json::{self, Value};
-use crate::schema::{optional_u64, require_array, require_str, require_u64, SCHEMA_VERSION};
-use crate::ReportError;
-use alberta_core::protocol::{decode_run, decode_status, run_value, status_value, RemoteStatus};
-use alberta_core::WorkloadRun;
+use crate::json::{opt, req, DecodeError, Fields, FromJson, ToJson, Value};
+use crate::schema::SCHEMA_VERSION;
+use crate::{parse_versioned, ReportError};
+use alberta_core::protocol::RemoteStatus;
+use alberta_core::{json_codec, WorkloadRun};
 
 /// One content-addressed cache entry: the complete, lossless outcome of
 /// one `(benchmark, workload)` characterization run under a fully
 /// specified configuration.
 ///
 /// The entry stores the run through the same lossless codec the worker
-/// pipe protocol uses ([`run_value`]/[`decode_run`]), not the flattened
+/// pipe protocol uses ([`WorkloadRun`]'s [`ToJson`]), not the flattened
 /// report record — so a benchmark-level response can rebuild its Table
 /// II summary from cached runs and serialize byte-identically to a
 /// freshly computed sweep. The status is kept in its wire form
@@ -57,22 +57,7 @@ impl CacheDocument {
     /// truncation, bit flips, a partial write — fails verification at
     /// parse time.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("schema_version".to_owned(), Value::UInt(SCHEMA_VERSION)),
-            ("key".to_owned(), Value::Str(self.key.clone())),
-            ("status".to_owned(), status_value(&self.status)),
-        ];
-        if let Some(run) = &self.run {
-            fields.push(("run".to_owned(), run_value(run)));
-        }
-        fields.push(("retries".to_owned(), Value::UInt(u64::from(self.retries))));
-        fields.push((
-            "budget_consumed".to_owned(),
-            Value::UInt(self.budget_consumed),
-        ));
-        let body = Value::Object(fields.clone());
-        fields.push(("payload_hash".to_owned(), Value::Str(body.fingerprint())));
-        Value::Object(fields).render()
+        self.to_value().render()
     }
 
     /// Parses and verifies a cache entry.
@@ -87,50 +72,53 @@ impl CacheDocument {
     /// surface. Every error path means "treat the entry as absent":
     /// evict and recompute.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = require_u64(&value, "schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
+        parse_versioned(text, SCHEMA_VERSION)
+    }
+}
+
+impl ToJson for CacheDocument {
+    fn to_value(&self) -> Value {
+        let body = Fields::new()
+            .put("schema_version", &SCHEMA_VERSION)
+            .put("key", &self.key)
+            .put("status", &self.status)
+            .put_some("run", &self.run)
+            .put("retries", &self.retries)
+            .put("budget_consumed", &self.budget_consumed)
+            .build();
+        let hash = body.fingerprint();
+        Fields::new()
+            .put_all(&body)
+            .put("payload_hash", &hash)
+            .build()
+    }
+}
+
+impl FromJson for CacheDocument {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         // Integrity first: no field is trusted until the stored hash
         // matches the fingerprint of the document without it.
-        let Value::Object(fields) = &value else {
-            return Err(ReportError::Schema {
-                message: "cache entry is not an object".to_owned(),
-            });
-        };
-        let stored = require_str(&value, "payload_hash")?;
+        let stored: String = req(value, "payload_hash")?;
         let body = Value::Object(
-            fields
+            value
+                .as_object()
+                .unwrap_or_default()
                 .iter()
                 .filter(|(k, _)| k != "payload_hash")
                 .cloned()
                 .collect(),
         );
         if body.fingerprint() != stored {
-            return Err(ReportError::Schema {
-                message: "cache entry corrupt: payload hash mismatch".to_owned(),
-            });
+            return Err(DecodeError::new(
+                "cache entry corrupt: payload hash mismatch",
+            ));
         }
-        let status = decode_status(value.get("status").ok_or_else(|| ReportError::Schema {
-            message: "cache entry missing status".to_owned(),
-        })?)
-        .map_err(|message| ReportError::Schema { message })?;
-        let run = value
-            .get("run")
-            .map(decode_run)
-            .transpose()
-            .map_err(|message| ReportError::Schema { message })?;
         Ok(CacheDocument {
-            key: require_str(&value, "key")?.to_owned(),
-            status,
-            run,
-            retries: u32::try_from(require_u64(&value, "retries")?).map_err(|_| {
-                ReportError::Schema {
-                    message: "retries out of range".to_owned(),
-                }
-            })?,
-            budget_consumed: require_u64(&value, "budget_consumed")?,
+            key: req(value, "key")?,
+            status: req(value, "status")?,
+            run: opt(value, "run")?,
+            retries: req(value, "retries")?,
+            budget_consumed: req(value, "budget_consumed")?,
         })
     }
 }
@@ -148,23 +136,11 @@ pub struct HostRecord {
     pub stolen: u64,
 }
 
-impl HostRecord {
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("host".to_owned(), Value::UInt(self.host)),
-            ("tasks".to_owned(), Value::UInt(self.tasks)),
-            ("stolen".to_owned(), Value::UInt(self.stolen)),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ReportError> {
-        Ok(HostRecord {
-            host: require_u64(value, "host")?,
-            tasks: require_u64(value, "tasks")?,
-            stolen: require_u64(value, "stolen")?,
-        })
-    }
-}
+json_codec!(HostRecord {
+    host,
+    tasks,
+    stolen
+});
 
 /// The deterministic report of one storm run: request and cache
 /// counters plus the scheduler's placement and recovery counters.
@@ -207,24 +183,18 @@ impl StormReport {
 
     /// Serializes to canonical JSON text (pretty, trailing newline).
     pub fn to_json(&self) -> String {
-        Value::Object(vec![
-            (
-                "schema_version".to_owned(),
-                Value::UInt(self.schema_version),
-            ),
-            ("requests".to_owned(), Value::UInt(self.requests)),
-            ("unique_keys".to_owned(), Value::UInt(self.unique_keys)),
-            ("hits".to_owned(), Value::UInt(self.hits)),
-            ("computed".to_owned(), Value::UInt(self.computed)),
-            ("hit_ratio".to_owned(), Value::Float(self.hit_ratio())),
-            ("steals".to_owned(), Value::UInt(self.steals)),
-            ("redispatches".to_owned(), Value::UInt(self.redispatches)),
-            (
-                "hosts".to_owned(),
-                Value::Array(self.hosts.iter().map(|h| h.to_value()).collect()),
-            ),
-        ])
-        .render()
+        Fields::new()
+            .put("schema_version", &self.schema_version)
+            .put("requests", &self.requests)
+            .put("unique_keys", &self.unique_keys)
+            .put("hits", &self.hits)
+            .put("computed", &self.computed)
+            .put("hit_ratio", &self.hit_ratio())
+            .put("steals", &self.steals)
+            .put("redispatches", &self.redispatches)
+            .put("hosts", &self.hosts)
+            .build()
+            .render()
     }
 
     /// Parses a storm report. The stored `hit_ratio` is ignored — it is
@@ -235,23 +205,21 @@ impl StormReport {
     /// [`ReportError::Json`], [`ReportError::UnsupportedVersion`], or
     /// [`ReportError::Schema`], as for the other documents.
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        let version = require_u64(&value, "schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(ReportError::UnsupportedVersion { found: version });
-        }
+        parse_versioned(text, SCHEMA_VERSION)
+    }
+}
+
+impl FromJson for StormReport {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
         Ok(StormReport {
-            schema_version: version,
-            requests: require_u64(&value, "requests")?,
-            unique_keys: require_u64(&value, "unique_keys")?,
-            hits: require_u64(&value, "hits")?,
-            computed: require_u64(&value, "computed")?,
-            steals: require_u64(&value, "steals")?,
-            redispatches: require_u64(&value, "redispatches")?,
-            hosts: require_array(&value, "hosts")?
-                .iter()
-                .map(HostRecord::from_value)
-                .collect::<Result<_, _>>()?,
+            schema_version: req(value, "schema_version")?,
+            requests: req(value, "requests")?,
+            unique_keys: req(value, "unique_keys")?,
+            hits: req(value, "hits")?,
+            computed: req(value, "computed")?,
+            steals: req(value, "steals")?,
+            redispatches: req(value, "redispatches")?,
+            hosts: req(value, "hosts")?,
         })
     }
 }
@@ -299,14 +267,7 @@ impl LatencyReport {
 
     /// Serializes to canonical JSON text (pretty, trailing newline).
     pub fn to_json(&self) -> String {
-        Value::Object(vec![
-            ("samples".to_owned(), Value::UInt(self.samples)),
-            ("p50_nanos".to_owned(), Value::UInt(self.p50_nanos)),
-            ("p90_nanos".to_owned(), Value::UInt(self.p90_nanos)),
-            ("p99_nanos".to_owned(), Value::UInt(self.p99_nanos)),
-            ("max_nanos".to_owned(), Value::UInt(self.max_nanos)),
-        ])
-        .render()
+        self.to_value().render()
     }
 
     /// Parses a latency report.
@@ -315,16 +276,17 @@ impl LatencyReport {
     ///
     /// [`ReportError::Json`] or [`ReportError::Schema`].
     pub fn parse(text: &str) -> Result<Self, ReportError> {
-        let value = json::parse(text)?;
-        Ok(LatencyReport {
-            samples: require_u64(&value, "samples")?,
-            p50_nanos: require_u64(&value, "p50_nanos")?,
-            p90_nanos: require_u64(&value, "p90_nanos")?,
-            p99_nanos: require_u64(&value, "p99_nanos")?,
-            max_nanos: optional_u64(&value, "max_nanos")?.unwrap_or(0),
-        })
+        Ok(crate::json::decode(text)?)
     }
 }
+
+json_codec!(LatencyReport {
+    samples,
+    p50_nanos,
+    p90_nanos,
+    p99_nanos,
+    max_nanos
+});
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@
 //! output inherits the same determinism guarantees as every other
 //! artifact: ordered objects, exact integers, stable float rendering.
 
-use crate::json::Value;
+use crate::json::{Fields, Value};
 use crate::schema::{RunRecord, StatusKind, SuiteReport};
 use crate::ReportError;
 
@@ -100,11 +100,7 @@ pub fn render_trace(report: &SuiteReport, mode: TraceMode) -> Result<String, Rep
             StatusKind::Failed => events.push(instant_event(span, "lost")),
         }
     }
-    let document = Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(events)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-    ]);
-    Ok(document.render())
+    Ok(trace_document(events))
 }
 
 /// The deterministic virtual schedule: runs in canonical report order,
@@ -178,75 +174,60 @@ fn telemetry_spans(report: &SuiteReport) -> Result<Vec<Span<'_>>, ReportError> {
     Ok(spans)
 }
 
-fn metadata(name: &str, tid: u64, label: &str) -> Value {
-    Value::Object(vec![
-        ("name".to_owned(), Value::Str(name.to_owned())),
-        ("ph".to_owned(), Value::Str("M".to_owned())),
-        ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(tid)),
-        (
-            "args".to_owned(),
-            Value::Object(vec![("name".to_owned(), Value::Str(label.to_owned()))]),
-        ),
-    ])
+/// A Chrome trace-event document holding `events`, rendered.
+pub(crate) fn trace_document(events: Vec<Value>) -> String {
+    Fields::new()
+        .put("traceEvents", &events)
+        .put("displayTimeUnit", "ms")
+        .build()
+        .render()
+}
+
+/// A metadata event naming process or lane `tid`.
+pub(crate) fn metadata(name: &str, tid: u64, label: &str) -> Value {
+    Fields::new()
+        .put("name", name)
+        .put("ph", "M")
+        .put("pid", &0u64)
+        .put("tid", &tid)
+        .put("args", &Fields::new().put("name", label).build())
+        .build()
 }
 
 fn span_event(span: &Span<'_>) -> Value {
     let run = span.run;
-    let mut args = vec![(
-        "status".to_owned(),
-        Value::Str(status_str(run.status).to_owned()),
-    )];
-    args.push(("retries".to_owned(), Value::UInt(u64::from(run.retries))));
-    args.push((
-        "budget_consumed".to_owned(),
-        Value::UInt(run.budget_consumed),
-    ));
-    if let Some(m) = &run.measures {
-        args.push(("cycles".to_owned(), Value::Float(m.cycles)));
-        args.push(("ipc".to_owned(), Value::Float(m.ipc)));
-    }
-    if let Some(error) = &run.error {
-        args.push(("error".to_owned(), Value::Str(error.clone())));
-    }
-    Value::Object(vec![
-        (
-            "name".to_owned(),
-            Value::Str(format!("{}/{}", span.benchmark, run.workload)),
-        ),
-        (
-            "cat".to_owned(),
-            Value::Str(status_str(run.status).to_owned()),
-        ),
-        ("ph".to_owned(), Value::Str("X".to_owned())),
-        ("ts".to_owned(), Value::Float(span.start)),
-        ("dur".to_owned(), Value::Float(span.duration)),
-        ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(span.lane)),
-        ("args".to_owned(), Value::Object(args)),
-    ])
+    let measures = run.measures.as_ref();
+    let args = Fields::new()
+        .put("status", &run.status)
+        .put("retries", &run.retries)
+        .put("budget_consumed", &run.budget_consumed)
+        .put_some("cycles", &measures.map(|m| m.cycles))
+        .put_some("ipc", &measures.map(|m| m.ipc))
+        .put_some("error", &run.error);
+    Fields::new()
+        .put("name", &format!("{}/{}", span.benchmark, run.workload))
+        .put("cat", &run.status)
+        .put("ph", "X")
+        .put("ts", &span.start)
+        .put("dur", &span.duration)
+        .put("pid", &0u64)
+        .put("tid", &span.lane)
+        .put("args", &args.build())
+        .build()
 }
 
 fn instant_event(span: &Span<'_>, label: &str) -> Value {
-    Value::Object(vec![
-        (
-            "name".to_owned(),
-            Value::Str(format!("{}/{}: {label}", span.benchmark, span.run.workload)),
-        ),
-        ("ph".to_owned(), Value::Str("i".to_owned())),
-        ("ts".to_owned(), Value::Float(span.start)),
-        ("pid".to_owned(), Value::UInt(0)),
-        ("tid".to_owned(), Value::UInt(span.lane)),
-        ("s".to_owned(), Value::Str("t".to_owned())),
-    ])
-}
-
-fn status_str(status: StatusKind) -> &'static str {
-    match status {
-        StatusKind::Ok => "ok",
-        StatusKind::Degraded => "degraded",
-        StatusKind::Failed => "failed",
-    }
+    Fields::new()
+        .put(
+            "name",
+            &format!("{}/{}: {label}", span.benchmark, span.run.workload),
+        )
+        .put("ph", "i")
+        .put("ts", &span.start)
+        .put("pid", &0u64)
+        .put("tid", &span.lane)
+        .put("s", "t")
+        .build()
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //! floats that render like integers, empty coverage maps, names that
 //! need escaping, and both telemetry-bearing and canonical records.
 
+use alberta_core::{MemoryProfile, MpkiPoint};
 use alberta_report::{
-    BenchmarkReport, CategoryRecord, DiffOptions, HotPathRecord, MeasureRecord, MemoryRecord,
-    MpkiCurveRecord, ReportDiff, ReportError, RunRecord, SamplingRecord, StatusKind, SuiteReport,
-    SummaryRecord, SCHEMA_VERSION,
+    BenchmarkReport, CategoryRecord, DiffOptions, HotPathRecord, MeasureRecord, ReportDiff,
+    ReportError, RunRecord, SamplingRecord, StatusKind, SuiteReport, SummaryRecord, SCHEMA_VERSION,
 };
 use alberta_workloads::Scale;
 use proptest::prelude::*;
@@ -74,8 +74,8 @@ fn arb_measures(rng: &mut TestRng) -> MeasureRecord {
     }
 }
 
-fn arb_memory(rng: &mut TestRng) -> MemoryRecord {
-    MemoryRecord {
+fn arb_memory(rng: &mut TestRng) -> MemoryProfile {
+    MemoryProfile {
         l1_mpki: arb_f64(rng),
         l2_mpki: arb_f64(rng),
         l3_mpki: arb_f64(rng),
@@ -84,7 +84,7 @@ fn arb_memory(rng: &mut TestRng) -> MemoryRecord {
         footprint_lines: rng.next_u64(),
         footprint_pages: rng.next_u64(),
         mpki_curve: (0..rng.below(4))
-            .map(|i| MpkiCurveRecord {
+            .map(|i| MpkiPoint {
                 size_bytes: 1 << (14 + i),
                 mpki: arb_f64(rng),
             })

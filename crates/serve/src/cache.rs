@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use alberta_core::json_codec;
 use alberta_core::log_warn;
 use alberta_core::protocol::RemoteStatus;
 use alberta_report::CacheDocument;
@@ -41,6 +42,13 @@ pub struct ShardStats {
     /// Corrupt entries evicted from this shard so far.
     pub evictions: u64,
 }
+
+json_codec!(ShardStats {
+    shard,
+    entries,
+    bytes,
+    evictions
+});
 
 /// How a [`ResultCache::get_or_compute`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use alberta_core::json::Value;
+use alberta_core::json::{FromJson, Value};
 use alberta_report::MetricsDocument;
 
 use crate::engine::{EngineStats, ResponseCounts};
@@ -155,7 +155,9 @@ impl Client {
     pub fn metrics(&mut self) -> Result<MetricsDocument, ClientError> {
         self.send(&ClientMsg::Metrics)?;
         match self.receive()? {
-            ServerMsg::Metrics { document } => MetricsDocument::from_value(&document),
+            ServerMsg::Metrics { document } => {
+                MetricsDocument::from_value(&document).map_err(|e| e.to_string())
+            }
             other => Err(format!("unexpected reply to metrics: {other:?}")),
         }
     }
@@ -205,6 +207,6 @@ impl Client {
         if n == 0 {
             return Err("daemon closed the connection".to_owned());
         }
-        ServerMsg::decode(line.trim_end())
+        ServerMsg::decode(line.trim_end()).map_err(|e| e.to_string())
     }
 }

@@ -11,16 +11,30 @@
 //! function of the group's contents alone, never of socket timing.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
+use alberta_core::json::ToJson;
 use alberta_core::telemetry::{request_label, Plane};
 use alberta_core::{log_info, log_warn};
 
 use crate::engine::{BatchRequest, Engine, ResolvedRequest};
 use crate::wire::{ClientMsg, GroupInfo, ServerMsg, WIRE_VERSION};
+
+/// The longest message line the daemon reads, newline excluded. A
+/// request line is about 1 KiB; a longer one is answered with an error
+/// and the connection is closed, so no client can make the daemon
+/// buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long the daemon waits for a connection's next line before it
+/// answers with an error and closes, so a silent client cannot pin its
+/// handler thread. Resolving a drain is not waiting: the bound applies
+/// only while the daemon is reading.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// A group rendezvous: members park their requests here and wait for
 /// the union batch to resolve.
@@ -77,6 +91,12 @@ impl Daemon {
     /// connection is handled on its own thread; handler panics are
     /// contained to their connection.
     pub fn run(self) {
+        self.serve(IDLE_TIMEOUT);
+    }
+
+    /// [`Daemon::run`] with the idle bound as a parameter, so tests can
+    /// exercise it without waiting [`IDLE_TIMEOUT`].
+    fn serve(self, idle: Duration) {
         let addr = self.listener.local_addr().ok();
         std::thread::scope(|scope| {
             for stream in self.listener.incoming() {
@@ -89,7 +109,7 @@ impl Daemon {
                 let shutdown = Arc::clone(&self.shutdown);
                 scope.spawn(move || {
                     // A broken connection only loses that client.
-                    let _ = handle_connection(stream, &engine, &groups, &shutdown, addr);
+                    let _ = handle_connection(stream, &engine, &groups, &shutdown, addr, idle);
                 });
             }
         });
@@ -103,16 +123,20 @@ fn handle_connection(
     groups: &Mutex<HashMap<String, Arc<Group>>>,
     shutdown: &AtomicBool,
     addr: Option<std::net::SocketAddr>,
+    idle: Duration,
 ) -> io::Result<()> {
     // Every reply is one small write answering a request the client is
     // blocked on; Nagle would hold it back for the client's delayed ACK.
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(idle))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
 
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(());
+    match next_line(&mut reader, &mut line, idle) {
+        Ok(true) => {}
+        Ok(false) => return Ok(()),
+        Err(breach) => return refuse(&mut writer, breach),
     }
     let (client, group) = match ClientMsg::decode(line.trim_end()) {
         Ok(ClientMsg::Hello {
@@ -175,9 +199,10 @@ fn handle_connection(
     let member = group.as_ref().map_or(0, |info| info.member);
     let mut pending: Vec<BatchRequest> = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
+        match next_line(&mut reader, &mut line, idle) {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
+            Err(breach) => return refuse(&mut writer, breach),
         }
         match ClientMsg::decode(line.trim_end()) {
             Ok(ClientMsg::Request { id, spec }) => pending.push(BatchRequest {
@@ -251,10 +276,41 @@ fn handle_connection(
                 )?;
             }
             Err(message) => {
+                let message = message.to_string();
                 send(&mut writer, &ServerMsg::Error { id: 0, message })?;
             }
         }
     }
+}
+
+/// Reads the next message line into `line`: `Ok(false)` at end of
+/// stream, `Err` with the reason when the line breaks a bound — longer
+/// than [`MAX_LINE_BYTES`], no line within `idle`, or not UTF-8.
+fn next_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    idle: Duration,
+) -> Result<bool, String> {
+    line.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_line(line) {
+        Ok(0) => Ok(false),
+        Ok(n) if n as u64 == limit && !line.ends_with('\n') => {
+            Err(format!("message line longer than {MAX_LINE_BYTES} bytes"))
+        }
+        Ok(_) => Ok(true),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(format!("no message within {} ms", idle.as_millis()))
+        }
+        Err(e) => Err(format!("unreadable message line: {e}")),
+    }
+}
+
+/// Answers a bound breach with an error message; the caller then closes
+/// the connection.
+fn refuse(writer: &mut TcpStream, message: String) -> io::Result<()> {
+    log_warn!("daemon", "closing connection: {message}");
+    send(writer, &ServerMsg::Error { id: 0, message })
 }
 
 /// A grouped drain: park this member's requests, resolve the union once
@@ -326,4 +382,82 @@ fn send(writer: &mut TcpStream, msg: &ServerMsg) -> io::Result<()> {
     let mut line = msg.encode();
     line.push('\n');
     writer.write_all(line.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::ResultCache;
+    use crate::client::Client;
+    use crate::engine::ServeConfig;
+
+    /// A daemon with the given idle bound on an ephemeral port. The
+    /// tests send no request, so its cache stays empty.
+    fn start(idle: Duration) -> (String, std::thread::JoinHandle<()>) {
+        let dir = std::env::temp_dir().join("alberta-daemon-bounds-unused");
+        let engine = Engine::new(ServeConfig::default(), ResultCache::new(&dir));
+        let daemon = Daemon::bind("127.0.0.1:0", engine).expect("bind");
+        let addr = daemon.local_addr().expect("addr").to_string();
+        (addr, std::thread::spawn(move || daemon.serve(idle)))
+    }
+
+    fn stop(addr: &str, daemon: std::thread::JoinHandle<()>) {
+        Client::connect(addr, None)
+            .and_then(Client::shutdown)
+            .expect("shutdown");
+        daemon.join().expect("daemon thread");
+    }
+
+    /// Everything the daemon wrote before closing, as decoded messages.
+    fn replies(stream: &mut TcpStream) -> Vec<ServerMsg> {
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("read until close");
+        text.lines()
+            .map(|l| ServerMsg::decode(l).expect("a wire message"))
+            .collect()
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_with_an_error() {
+        let (addr, daemon) = start(IDLE_TIMEOUT);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        // One byte past the bound and no newline: the daemon stops
+        // reading at the bound, answers, and closes.
+        stream
+            .write_all(&vec![b'['; MAX_LINE_BYTES + 1])
+            .expect("the daemon reads up to the bound");
+        let replies = replies(&mut stream);
+        assert!(
+            matches!(&replies[..], [ServerMsg::Error { message, .. }] if message.contains("longer than")),
+            "{replies:?}"
+        );
+        stop(&addr, daemon);
+    }
+
+    #[test]
+    fn a_silent_client_is_refused_after_the_idle_bound() {
+        let idle = Duration::from_millis(200);
+        let (addr, daemon) = start(idle);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let hello = ClientMsg::Hello {
+            protocol: WIRE_VERSION,
+            client: Some("silent".to_owned()),
+            group: None,
+        };
+        stream
+            .write_all(format!("{}\n", hello.encode()).as_bytes())
+            .expect("hello");
+        let started = std::time::Instant::now();
+        let replies = replies(&mut stream);
+        assert!(started.elapsed() >= idle);
+        assert!(
+            matches!(
+                &replies[..],
+                [ServerMsg::Hello { .. }, ServerMsg::Error { message, .. }]
+                    if message.contains("no message within 200 ms")
+            ),
+            "{replies:?}"
+        );
+        stop(&addr, daemon);
+    }
 }

@@ -19,15 +19,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use alberta_core::json::Value;
-use alberta_core::log_info;
+use alberta_core::json::{Fields, ToJson, Value};
 use alberta_core::protocol::RemoteStatus;
 use alberta_core::telemetry::{
     MetricsRegistry, Plane, SpanLog, COUNT_BUCKETS, NANOS_BUCKETS, TICK_BUCKETS,
 };
 use alberta_core::{
-    benchmark_suite, summarize_runs, Benchmark, ExecPolicy, FaultPlan, LabeledTask, ProcessConfig,
-    Scale, Suite,
+    benchmark_suite, json_codec, log_info, summarize_runs, Benchmark, ExecPolicy, FaultPlan,
+    LabeledTask, ProcessConfig, Scale, Suite,
 };
 use alberta_report::{BenchmarkReport, CacheDocument, HostRecord, MetricsDocument, RunRecord};
 
@@ -96,6 +95,13 @@ pub struct ResponseCounts {
     pub failed: u64,
 }
 
+json_codec!(ResponseCounts {
+    computed,
+    cached,
+    coalesced,
+    failed
+});
+
 /// A resolved request: either a canonical response body or an error.
 #[derive(Debug, Clone)]
 pub struct ResolvedRequest {
@@ -132,119 +138,18 @@ pub struct EngineStats {
     pub shards: Vec<ShardStats>,
 }
 
-impl EngineStats {
-    /// The stats as a wire object.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("requests".to_owned(), Value::UInt(self.requests)),
-            ("computed_keys".to_owned(), Value::UInt(self.computed_keys)),
-            ("cache_hits".to_owned(), Value::UInt(self.cache_hits)),
-            ("coalesced".to_owned(), Value::UInt(self.coalesced)),
-            ("failed_keys".to_owned(), Value::UInt(self.failed_keys)),
-            ("steals".to_owned(), Value::UInt(self.steals)),
-            ("redispatches".to_owned(), Value::UInt(self.redispatches)),
-            ("evictions".to_owned(), Value::UInt(self.evictions)),
-            (
-                "hosts".to_owned(),
-                Value::Array(
-                    self.hosts
-                        .iter()
-                        .map(|h| {
-                            Value::Object(vec![
-                                ("host".to_owned(), Value::UInt(h.host)),
-                                ("tasks".to_owned(), Value::UInt(h.tasks)),
-                                ("stolen".to_owned(), Value::UInt(h.stolen)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "shards".to_owned(),
-                Value::Array(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            Value::Object(vec![
-                                ("shard".to_owned(), Value::Str(s.shard.clone())),
-                                ("entries".to_owned(), Value::UInt(s.entries)),
-                                ("bytes".to_owned(), Value::UInt(s.bytes)),
-                                ("evictions".to_owned(), Value::UInt(s.evictions)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a stats wire object.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stats missing {name}"))
-        };
-        let hosts = value
-            .get("hosts")
-            .and_then(Value::as_array)
-            .ok_or("stats missing hosts")?
-            .iter()
-            .map(|h| {
-                let hf = |name: &str| {
-                    h.get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("host record missing {name}"))
-                };
-                Ok(HostRecord {
-                    host: hf("host")?,
-                    tasks: hf("tasks")?,
-                    stolen: hf("stolen")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let shards = value
-            .get("shards")
-            .and_then(Value::as_array)
-            .ok_or("stats missing shards")?
-            .iter()
-            .map(|s| {
-                let sf = |name: &str| {
-                    s.get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("shard record missing {name}"))
-                };
-                Ok(ShardStats {
-                    shard: s
-                        .get("shard")
-                        .and_then(Value::as_str)
-                        .ok_or("shard record missing shard")?
-                        .to_owned(),
-                    entries: sf("entries")?,
-                    bytes: sf("bytes")?,
-                    evictions: sf("evictions")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(EngineStats {
-            requests: field("requests")?,
-            computed_keys: field("computed_keys")?,
-            cache_hits: field("cache_hits")?,
-            coalesced: field("coalesced")?,
-            failed_keys: field("failed_keys")?,
-            steals: field("steals")?,
-            redispatches: field("redispatches")?,
-            evictions: field("evictions")?,
-            hosts,
-            shards,
-        })
-    }
-}
+json_codec!(EngineStats {
+    requests,
+    computed_keys,
+    cache_hits,
+    coalesced,
+    failed_keys,
+    steals,
+    redispatches,
+    evictions,
+    hosts,
+    shards
+});
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -469,33 +374,22 @@ impl Engine {
         let mut expansion_errors = 0u64;
         let mut retries_total = 0u64;
         let batch_requests = ordered.len() as u64;
-        let key_attr = |key: &str| ("key".to_owned(), Value::Str(key.to_owned()));
+        let key_attr = |key: &str| Fields::new().put("key", key);
         let mut spans = self.spans.lock().expect("span log poisoned");
         for (idx, request) in ordered.iter().enumerate() {
             let label = request.request.as_str();
-            let mut received = vec![(
-                "benchmark".to_owned(),
-                Value::Str(request.spec.benchmark.clone()),
-            )];
-            if let Some(workload) = &request.spec.workload {
-                received.push(("workload".to_owned(), Value::Str(workload.clone())));
-            }
+            let received = Fields::new()
+                .put("benchmark", &request.spec.benchmark)
+                .put_some("workload", &request.spec.workload);
             spans.push(label, "received", received);
             if batch_requests > 1 {
-                spans.push(
-                    label,
-                    "grouped",
-                    vec![("batch_requests".to_owned(), Value::UInt(batch_requests))],
-                );
+                let grouped = Fields::new().put("batch_requests", &batch_requests);
+                spans.push(label, "grouped", grouped);
             }
             match &expansions[idx] {
                 Err(message) => {
                     expansion_errors += 1;
-                    spans.push(
-                        label,
-                        "failed",
-                        vec![("error".to_owned(), Value::Str(message.clone()))],
-                    );
+                    spans.push(label, "failed", Fields::new().put("error", message));
                     resolved.push(ResolvedRequest {
                         token: request.token,
                         counts: ResponseCounts::default(),
@@ -515,142 +409,76 @@ impl Engine {
                         match fate {
                             KeyFate::Cached => {
                                 counts.cached += 1;
-                                spans.push(label, "cache_hit", vec![key_attr(key)]);
+                                spans.push(label, "cache_hit", key_attr(key));
                             }
                             KeyFate::Unplaced => {
                                 counts.failed += 1;
-                                spans.push(label, "cache_miss", vec![key_attr(key)]);
+                                spans.push(label, "cache_miss", key_attr(key));
                                 let error = match &doc.status {
-                                    RemoteStatus::Failed { error, .. } => error.clone(),
-                                    _ => "unplaced".to_owned(),
+                                    RemoteStatus::Failed { error, .. } => error.as_str(),
+                                    _ => "unplaced",
                                 };
-                                spans.push(
-                                    label,
-                                    "failed",
-                                    vec![key_attr(key), ("error".to_owned(), Value::Str(error))],
-                                );
+                                spans.push(label, "failed", key_attr(key).put("error", error));
                             }
                             KeyFate::Computed if first_owner[key] == idx => {
                                 counts.computed += 1;
-                                spans.push(label, "cache_miss", vec![key_attr(key)]);
+                                spans.push(label, "cache_miss", key_attr(key));
                                 let placed = missed
                                     .iter()
                                     .position(|k| k == key)
                                     .map(|i| placement.tasks[i]);
-                                if let Some(task) = placed {
-                                    if let Some(host) = task.host {
-                                        spans.push(
-                                            label,
-                                            "placed",
-                                            vec![
-                                                key_attr(key),
-                                                ("host".to_owned(), Value::UInt(host as u64)),
-                                                ("stolen".to_owned(), Value::Bool(task.stolen)),
-                                                (
-                                                    "start_ticks".to_owned(),
-                                                    Value::UInt(task.start_ticks),
-                                                ),
-                                                (
-                                                    "end_ticks".to_owned(),
-                                                    Value::UInt(task.end_ticks),
-                                                ),
-                                                (
-                                                    "benchmark".to_owned(),
-                                                    Value::Str(expansion.short_name.clone()),
-                                                ),
-                                                (
-                                                    "workload".to_owned(),
-                                                    Value::Str(workload.clone()),
-                                                ),
-                                            ],
-                                        );
-                                        if let Some(exec) = exec_info.get(key) {
-                                            // These spans carry the label as it came
-                                            // BACK through the execution layer — for
-                                            // process hosts, across the worker pipe —
-                                            // which is what proves end-to-end
-                                            // propagation.
-                                            let echo = exec.request.clone().unwrap_or_default();
-                                            spans.push(
-                                                &echo,
-                                                "dispatched",
-                                                vec![
-                                                    key_attr(key),
-                                                    ("host".to_owned(), Value::UInt(host as u64)),
-                                                    ("attempt".to_owned(), Value::UInt(1)),
-                                                ],
-                                            );
-                                            for attempt in 2..=u64::from(exec.dispatches.max(1)) {
-                                                spans.push(
-                                                    &echo,
-                                                    "redispatched",
-                                                    vec![
-                                                        key_attr(key),
-                                                        (
-                                                            "attempt".to_owned(),
-                                                            Value::UInt(attempt),
-                                                        ),
-                                                    ],
-                                                );
-                                            }
-                                            for retry in 1..=u64::from(exec.retries) {
-                                                spans.push(
-                                                    &echo,
-                                                    "retried",
-                                                    vec![
-                                                        key_attr(key),
-                                                        ("retry".to_owned(), Value::UInt(retry)),
-                                                    ],
-                                                );
-                                            }
-                                            retries_total += u64::from(exec.retries);
-                                            let status = match &doc.status {
-                                                RemoteStatus::Ok => "ok",
-                                                RemoteStatus::Degraded { .. } => "degraded",
-                                                RemoteStatus::Failed { .. } => "failed",
-                                            };
-                                            spans.push(
-                                                &echo,
-                                                "executed",
-                                                vec![
-                                                    key_attr(key),
-                                                    (
-                                                        "status".to_owned(),
-                                                        Value::Str(status.to_owned()),
-                                                    ),
-                                                ],
-                                            );
-                                        }
-                                    }
+                                let Some((task, host)) =
+                                    placed.and_then(|task| Some((task, task.host? as u64)))
+                                else {
+                                    continue;
+                                };
+                                let placed_attrs = key_attr(key)
+                                    .put("host", &host)
+                                    .put("stolen", &task.stolen)
+                                    .put("start_ticks", &task.start_ticks)
+                                    .put("end_ticks", &task.end_ticks)
+                                    .put("benchmark", &expansion.short_name)
+                                    .put("workload", workload);
+                                spans.push(label, "placed", placed_attrs);
+                                let Some(exec) = exec_info.get(key) else {
+                                    continue;
+                                };
+                                // These spans carry the label as it came BACK
+                                // through the execution layer — for process
+                                // hosts, across the worker pipe — which is
+                                // what proves end-to-end propagation.
+                                let echo = exec.request.clone().unwrap_or_default();
+                                let dispatched =
+                                    key_attr(key).put("host", &host).put("attempt", &1u64);
+                                spans.push(&echo, "dispatched", dispatched);
+                                for attempt in 2..=u64::from(exec.dispatches.max(1)) {
+                                    let redispatched = key_attr(key).put("attempt", &attempt);
+                                    spans.push(&echo, "redispatched", redispatched);
                                 }
+                                for retry in 1..=u64::from(exec.retries) {
+                                    spans.push(
+                                        &echo,
+                                        "retried",
+                                        key_attr(key).put("retry", &retry),
+                                    );
+                                }
+                                retries_total += u64::from(exec.retries);
+                                let status = match &doc.status {
+                                    RemoteStatus::Ok => "ok",
+                                    RemoteStatus::Degraded { .. } => "degraded",
+                                    RemoteStatus::Failed { .. } => "failed",
+                                };
+                                spans.push(&echo, "executed", key_attr(key).put("status", status));
                             }
                             KeyFate::Computed => {
                                 counts.coalesced += 1;
-                                spans.push(
-                                    label,
-                                    "coalesced",
-                                    vec![
-                                        key_attr(key),
-                                        (
-                                            "owner".to_owned(),
-                                            Value::Str(ordered[first_owner[key]].request.clone()),
-                                        ),
-                                    ],
-                                );
+                                let owner = &ordered[first_owner[key]].request;
+                                spans.push(label, "coalesced", key_attr(key).put("owner", owner));
                             }
                         }
                     }
                     total_coalesced += counts.coalesced;
-                    spans.push(
-                        label,
-                        "completed",
-                        vec![
-                            ("computed".to_owned(), Value::UInt(counts.computed)),
-                            ("cached".to_owned(), Value::UInt(counts.cached)),
-                            ("coalesced".to_owned(), Value::UInt(counts.coalesced)),
-                            ("failed".to_owned(), Value::UInt(counts.failed)),
-                        ],
-                    );
+                    spans.push(label, "completed", Fields::new().put_all(&counts));
                     let body = assemble(expansion, &docs);
                     resolved.push(ResolvedRequest {
                         token: request.token,

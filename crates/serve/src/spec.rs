@@ -10,12 +10,8 @@
 //! rendering, extended with the report schema version and the crate
 //! version so a schema or code change can never serve a stale document.
 
-use alberta_core::json::{self, Value};
-use alberta_core::protocol::{
-    decode_machine, decode_predictor, decode_sampling_policy, decode_scale, machine_value,
-    predictor_value, sampling_policy_value, scale_value, DecodeError,
-};
-use alberta_core::{MachineConfig, PredictorKind, SamplingPolicy, Scale, TopDownModel};
+use alberta_core::json::Fields;
+use alberta_core::{json_codec, MachineConfig, PredictorKind, SamplingPolicy, Scale, TopDownModel};
 use alberta_report::SCHEMA_VERSION;
 
 /// The code version baked into every cache key: a rebuilt service never
@@ -55,55 +51,14 @@ impl RequestSpec {
         }
     }
 
-    /// The spec as its canonical wire object.
-    pub fn to_value(&self) -> Value {
-        let mut fields = vec![("benchmark".to_owned(), Value::Str(self.benchmark.clone()))];
-        if let Some(workload) = &self.workload {
-            fields.push(("workload".to_owned(), Value::Str(workload.clone())));
-        }
-        fields.push(("scale".to_owned(), scale_value(self.scale)));
-        fields.push(("sampling".to_owned(), sampling_policy_value(&self.policy)));
-        fields.push(("machine".to_owned(), machine_value(&self.machine)));
-        fields.push(("predictor".to_owned(), predictor_value(self.predictor)));
-        Value::Object(fields)
-    }
-
-    /// Parses a spec from its canonical wire object.
-    ///
-    /// # Errors
-    ///
-    /// A [`DecodeError`] naming the missing or mistyped field.
-    pub fn from_value(value: &Value) -> Result<Self, DecodeError> {
-        let benchmark = value
-            .get("benchmark")
-            .and_then(Value::as_str)
-            .ok_or("spec missing benchmark")?
-            .to_owned();
-        let workload = match value.get("workload") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("spec workload must be a string")?
-                    .to_owned(),
-            ),
-        };
-        let scale = decode_scale(
-            value
-                .get("scale")
-                .and_then(Value::as_str)
-                .ok_or("spec missing scale")?,
-        )?;
-        let policy = decode_sampling_policy(value.get("sampling").ok_or("spec missing sampling")?)?;
-        let machine = decode_machine(value.get("machine").ok_or("spec missing machine")?)?;
-        let predictor = decode_predictor(value.get("predictor").ok_or("spec missing predictor")?)?;
-        Ok(RequestSpec {
-            benchmark,
-            workload,
-            scale,
-            policy,
-            machine,
-            predictor,
-        })
+    /// The measurement configuration fields (scale, sampling, machine,
+    /// predictor), appended in their canonical order.
+    fn config_fields(&self, fields: Fields) -> Fields {
+        fields
+            .put("scale", &self.scale)
+            .put("sampling", &self.policy)
+            .put("machine", &self.machine)
+            .put("predictor", &self.predictor)
     }
 
     /// The content address of one workload run under this spec: the
@@ -125,55 +80,41 @@ impl RequestSpec {
         schema_version: u64,
         code_version: &str,
     ) -> String {
-        let document = Value::Object(vec![
-            ("schema_version".to_owned(), Value::UInt(schema_version)),
-            (
-                "code_version".to_owned(),
-                Value::Str(code_version.to_owned()),
-            ),
-            ("benchmark".to_owned(), Value::Str(self.benchmark.clone())),
-            ("workload".to_owned(), Value::Str(workload.to_owned())),
-            ("scale".to_owned(), scale_value(self.scale)),
-            ("sampling".to_owned(), sampling_policy_value(&self.policy)),
-            ("machine".to_owned(), machine_value(&self.machine)),
-            ("predictor".to_owned(), predictor_value(self.predictor)),
-        ]);
-        document.fingerprint()
+        let identity = Fields::new()
+            .put("schema_version", &schema_version)
+            .put("code_version", code_version)
+            .put("benchmark", &self.benchmark)
+            .put("workload", workload);
+        self.config_fields(identity).build().fingerprint()
     }
 
     /// Fingerprint of the measurement configuration alone (scale,
     /// sampling, machine, predictor) — the grouping key the engine uses
     /// to batch tasks that can share one [`Suite`](alberta_core::Suite).
     pub fn config_fingerprint(&self) -> String {
-        let document = Value::Object(vec![
-            ("scale".to_owned(), scale_value(self.scale)),
-            ("sampling".to_owned(), sampling_policy_value(&self.policy)),
-            ("machine".to_owned(), machine_value(&self.machine)),
-            ("predictor".to_owned(), predictor_value(self.predictor)),
-        ]);
-        document.fingerprint()
+        self.config_fields(Fields::new()).build().fingerprint()
     }
 }
 
-/// Parses a spec from compact wire text.
-///
-/// # Errors
-///
-/// A [`DecodeError`] for malformed JSON or a malformed spec.
-pub fn parse_spec(text: &str) -> Result<RequestSpec, DecodeError> {
-    let value = json::parse(text).map_err(|e| format!("malformed spec: {e}"))?;
-    RequestSpec::from_value(&value)
-}
+json_codec!(RequestSpec {
+    benchmark,
+    #[omit_none] workload,
+    scale,
+    policy as "sampling",
+    machine,
+    predictor
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alberta_core::json::{self, ToJson};
 
     #[test]
     fn spec_round_trips_through_wire_form() {
         let spec = RequestSpec::new("mcf", Some("alberta.1"), Scale::Test);
         let text = spec.to_value().render_compact();
-        let parsed = parse_spec(&text).expect("round trip");
+        let parsed: RequestSpec = json::decode(&text).expect("round trip");
         assert_eq!(parsed, spec);
         assert_eq!(parsed.to_value().render_compact(), text);
     }

@@ -10,8 +10,10 @@
 //! answers each member in canonical token order — which is what makes
 //! the storm's counters independent of socket arrival order.
 
-use alberta_core::json::{self, Value};
-use alberta_core::protocol::DecodeError;
+use alberta_core::json::{
+    self, opt, req, unknown_tag, DecodeError, Fields, FromJson, ToJson, Value,
+};
+use alberta_core::json_codec;
 
 use crate::engine::{EngineStats, ResponseCounts};
 use crate::spec::RequestSpec;
@@ -34,33 +36,7 @@ pub struct GroupInfo {
     pub member: u64,
 }
 
-impl GroupInfo {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_owned(), Value::Str(self.id.clone())),
-            ("size".to_owned(), Value::UInt(self.size)),
-            ("member".to_owned(), Value::UInt(self.member)),
-        ])
-    }
-
-    fn from_value(value: &Value) -> Result<Self, DecodeError> {
-        Ok(GroupInfo {
-            id: value
-                .get("id")
-                .and_then(Value::as_str)
-                .ok_or("group missing id")?
-                .to_owned(),
-            size: value
-                .get("size")
-                .and_then(Value::as_u64)
-                .ok_or("group missing size")?,
-            member: value
-                .get("member")
-                .and_then(Value::as_u64)
-                .ok_or("group missing member")?,
-        })
-    }
-}
+json_codec!(GroupInfo { id, size, member });
 
 /// Client-to-daemon messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,46 +76,7 @@ pub enum ClientMsg {
 impl ClientMsg {
     /// Encodes to one compact line (no trailing newline).
     pub fn encode(&self) -> String {
-        let value = match self {
-            ClientMsg::Hello {
-                protocol,
-                client,
-                group,
-            } => {
-                let mut fields = vec![
-                    ("type".to_owned(), Value::Str("hello".to_owned())),
-                    ("protocol".to_owned(), Value::UInt(*protocol)),
-                ];
-                if let Some(client) = client {
-                    fields.push(("client".to_owned(), Value::Str(client.clone())));
-                }
-                if let Some(group) = group {
-                    fields.push(("group".to_owned(), group.to_value()));
-                }
-                Value::Object(fields)
-            }
-            ClientMsg::Request { id, spec } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("request".to_owned())),
-                ("id".to_owned(), Value::UInt(*id)),
-                ("spec".to_owned(), spec.to_value()),
-            ]),
-            ClientMsg::Drain => {
-                Value::Object(vec![("type".to_owned(), Value::Str("drain".to_owned()))])
-            }
-            ClientMsg::Stats => {
-                Value::Object(vec![("type".to_owned(), Value::Str("stats".to_owned()))])
-            }
-            ClientMsg::Metrics => {
-                Value::Object(vec![("type".to_owned(), Value::Str("metrics".to_owned()))])
-            }
-            ClientMsg::Spans => {
-                Value::Object(vec![("type".to_owned(), Value::Str("spans".to_owned()))])
-            }
-            ClientMsg::Shutdown => {
-                Value::Object(vec![("type".to_owned(), Value::Str("shutdown".to_owned()))])
-            }
-        };
-        value.render_compact()
+        self.to_value().render_compact()
     }
 
     /// Decodes one line.
@@ -148,39 +85,53 @@ impl ClientMsg {
     ///
     /// A [`DecodeError`] naming the problem.
     pub fn decode(line: &str) -> Result<Self, DecodeError> {
-        let value = json::parse(line).map_err(|e| format!("malformed message: {e}"))?;
-        match value.get("type").and_then(Value::as_str) {
-            Some("hello") => Ok(ClientMsg::Hello {
-                protocol: value
-                    .get("protocol")
-                    .and_then(Value::as_u64)
-                    .ok_or("hello missing protocol")?,
-                client: match value.get("client") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or("hello client must be a string")?
-                            .to_owned(),
-                    ),
-                },
-                group: value.get("group").map(GroupInfo::from_value).transpose()?,
+        json::decode(line)
+    }
+}
+
+impl ToJson for ClientMsg {
+    fn to_value(&self) -> Value {
+        let tag = |tag: &str| Fields::new().put("type", tag);
+        match self {
+            ClientMsg::Hello {
+                protocol,
+                client,
+                group,
+            } => tag("hello")
+                .put("protocol", protocol)
+                .put_some("client", client)
+                .put_some("group", group),
+            ClientMsg::Request { id, spec } => {
+                tag("request").put("id", id).put("spec", spec.as_ref())
+            }
+            ClientMsg::Drain => tag("drain"),
+            ClientMsg::Stats => tag("stats"),
+            ClientMsg::Metrics => tag("metrics"),
+            ClientMsg::Spans => tag("spans"),
+            ClientMsg::Shutdown => tag("shutdown"),
+        }
+        .build()
+    }
+}
+
+impl FromJson for ClientMsg {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "type")?.as_str() {
+            "hello" => Ok(ClientMsg::Hello {
+                protocol: req(value, "protocol")?,
+                client: opt(value, "client")?,
+                group: opt(value, "group")?,
             }),
-            Some("request") => Ok(ClientMsg::Request {
-                id: value
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or("request missing id")?,
-                spec: Box::new(RequestSpec::from_value(
-                    value.get("spec").ok_or("request missing spec")?,
-                )?),
+            "request" => Ok(ClientMsg::Request {
+                id: req(value, "id")?,
+                spec: Box::new(req(value, "spec")?),
             }),
-            Some("drain") => Ok(ClientMsg::Drain),
-            Some("stats") => Ok(ClientMsg::Stats),
-            Some("metrics") => Ok(ClientMsg::Metrics),
-            Some("spans") => Ok(ClientMsg::Spans),
-            Some("shutdown") => Ok(ClientMsg::Shutdown),
-            Some(other) => Err(format!("unknown client message type {other:?}")),
-            None => Err("client message missing type".to_owned()),
+            "drain" => Ok(ClientMsg::Drain),
+            "stats" => Ok(ClientMsg::Stats),
+            "metrics" => Ok(ClientMsg::Metrics),
+            "spans" => Ok(ClientMsg::Spans),
+            "shutdown" => Ok(ClientMsg::Shutdown),
+            other => Err(unknown_tag("type", other)),
         }
     }
 }
@@ -235,51 +186,7 @@ pub enum ServerMsg {
 impl ServerMsg {
     /// Encodes to one compact line (no trailing newline).
     pub fn encode(&self) -> String {
-        let value = match self {
-            ServerMsg::Hello { protocol } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("hello".to_owned())),
-                ("protocol".to_owned(), Value::UInt(*protocol)),
-            ]),
-            ServerMsg::Response { id, counts, body } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("response".to_owned())),
-                ("id".to_owned(), Value::UInt(*id)),
-                (
-                    "counts".to_owned(),
-                    Value::Object(vec![
-                        ("computed".to_owned(), Value::UInt(counts.computed)),
-                        ("cached".to_owned(), Value::UInt(counts.cached)),
-                        ("coalesced".to_owned(), Value::UInt(counts.coalesced)),
-                        ("failed".to_owned(), Value::UInt(counts.failed)),
-                    ]),
-                ),
-                ("body".to_owned(), body.clone()),
-            ]),
-            ServerMsg::Error { id, message } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("error".to_owned())),
-                ("id".to_owned(), Value::UInt(*id)),
-                ("message".to_owned(), Value::Str(message.clone())),
-            ]),
-            ServerMsg::Drained { responses } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("drained".to_owned())),
-                ("responses".to_owned(), Value::UInt(*responses)),
-            ]),
-            ServerMsg::Stats(stats) => Value::Object(vec![
-                ("type".to_owned(), Value::Str("stats".to_owned())),
-                ("stats".to_owned(), stats.to_value()),
-            ]),
-            ServerMsg::Metrics { document } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("metrics".to_owned())),
-                ("document".to_owned(), document.clone()),
-            ]),
-            ServerMsg::Spans { spans } => Value::Object(vec![
-                ("type".to_owned(), Value::Str("spans".to_owned())),
-                ("spans".to_owned(), spans.clone()),
-            ]),
-            ServerMsg::Bye => {
-                Value::Object(vec![("type".to_owned(), Value::Str("bye".to_owned()))])
-            }
-        };
-        value.render_compact()
+        self.to_value().render_compact()
     }
 
     /// Decodes one line.
@@ -288,71 +195,57 @@ impl ServerMsg {
     ///
     /// A [`DecodeError`] naming the problem.
     pub fn decode(line: &str) -> Result<Self, DecodeError> {
-        let value = json::parse(line).map_err(|e| format!("malformed message: {e}"))?;
-        match value.get("type").and_then(Value::as_str) {
-            Some("hello") => Ok(ServerMsg::Hello {
-                protocol: value
-                    .get("protocol")
-                    .and_then(Value::as_u64)
-                    .ok_or("hello missing protocol")?,
+        json::decode(line)
+    }
+}
+
+impl ToJson for ServerMsg {
+    fn to_value(&self) -> Value {
+        let tag = |tag: &str| Fields::new().put("type", tag);
+        match self {
+            ServerMsg::Hello { protocol } => tag("hello").put("protocol", protocol),
+            ServerMsg::Response { id, counts, body } => tag("response")
+                .put("id", id)
+                .put("counts", counts)
+                .put("body", body),
+            ServerMsg::Error { id, message } => tag("error").put("id", id).put("message", message),
+            ServerMsg::Drained { responses } => tag("drained").put("responses", responses),
+            ServerMsg::Stats(stats) => tag("stats").put("stats", stats),
+            ServerMsg::Metrics { document } => tag("metrics").put("document", document),
+            ServerMsg::Spans { spans } => tag("spans").put("spans", spans),
+            ServerMsg::Bye => tag("bye"),
+        }
+        .build()
+    }
+}
+
+impl FromJson for ServerMsg {
+    fn from_value(value: &Value) -> Result<Self, DecodeError> {
+        match req::<String>(value, "type")?.as_str() {
+            "hello" => Ok(ServerMsg::Hello {
+                protocol: req(value, "protocol")?,
             }),
-            Some("response") => {
-                let counts = value.get("counts").ok_or("response missing counts")?;
-                let count = |name: &str| {
-                    counts
-                        .get(name)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("response counts missing {name}"))
-                };
-                Ok(ServerMsg::Response {
-                    id: value
-                        .get("id")
-                        .and_then(Value::as_u64)
-                        .ok_or("response missing id")?,
-                    counts: ResponseCounts {
-                        computed: count("computed")?,
-                        cached: count("cached")?,
-                        coalesced: count("coalesced")?,
-                        failed: count("failed")?,
-                    },
-                    body: value.get("body").ok_or("response missing body")?.clone(),
-                })
-            }
-            Some("error") => Ok(ServerMsg::Error {
-                id: value
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or("error missing id")?,
-                message: value
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or("error missing message")?
-                    .to_owned(),
+            "response" => Ok(ServerMsg::Response {
+                id: req(value, "id")?,
+                counts: req(value, "counts")?,
+                body: req(value, "body")?,
             }),
-            Some("drained") => Ok(ServerMsg::Drained {
-                responses: value
-                    .get("responses")
-                    .and_then(Value::as_u64)
-                    .ok_or("drained missing responses")?,
+            "error" => Ok(ServerMsg::Error {
+                id: req(value, "id")?,
+                message: req(value, "message")?,
             }),
-            Some("stats") => Ok(ServerMsg::Stats(EngineStats::from_value(
-                value.get("stats").ok_or("stats message missing stats")?,
-            )?)),
-            Some("metrics") => Ok(ServerMsg::Metrics {
-                document: value
-                    .get("document")
-                    .ok_or("metrics message missing document")?
-                    .clone(),
+            "drained" => Ok(ServerMsg::Drained {
+                responses: req(value, "responses")?,
             }),
-            Some("spans") => Ok(ServerMsg::Spans {
-                spans: value
-                    .get("spans")
-                    .ok_or("spans message missing spans")?
-                    .clone(),
+            "stats" => Ok(ServerMsg::Stats(req(value, "stats")?)),
+            "metrics" => Ok(ServerMsg::Metrics {
+                document: req(value, "document")?,
             }),
-            Some("bye") => Ok(ServerMsg::Bye),
-            Some(other) => Err(format!("unknown server message type {other:?}")),
-            None => Err("server message missing type".to_owned()),
+            "spans" => Ok(ServerMsg::Spans {
+                spans: req(value, "spans")?,
+            }),
+            "bye" => Ok(ServerMsg::Bye),
+            other => Err(unknown_tag("type", other)),
         }
     }
 }

@@ -5,6 +5,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use alberta_core::json::ToJson;
 use alberta_core::{ExecPolicy, Scale, Suite};
 use alberta_report::SuiteReport;
 use alberta_serve::{Client, Daemon, Engine, GroupInfo, RequestSpec, ResultCache, ServeConfig};

@@ -72,6 +72,24 @@ impl Scale {
         }
     }
 
+    /// The canonical name (`test`, `train`, `ref`): the CLI argument,
+    /// the JSON value, and the suffix of artifact file names.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Train => "train",
+            Scale::Ref => "ref",
+        }
+    }
+
+    /// The scale a canonical name denotes, the inverse of
+    /// [`Scale::name`].
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Test, Scale::Train, Scale::Ref]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     /// The next scale down, or `None` at [`Scale::Test`]. Resilient
     /// harnesses use this to retry a failed run on smaller inputs.
     pub fn reduced(self) -> Option<Scale> {
